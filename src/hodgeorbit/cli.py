@@ -197,6 +197,11 @@ def tables(emit_all, table_id, out_dir, fmt):
     for tid in ids:
         if tid not in TABLE_IDS:
             raise click.BadParameter(f"unknown table id {tid!r}")
+    try:
+        reps.dimension_cap()
+    except ValueError as exc:
+        click.echo(f"bad setting: {exc}", err=True)
+        sys.exit(2)
     written = []
     try:
         os.makedirs(out_dir, exist_ok=True)
@@ -208,6 +213,9 @@ def tables(emit_all, table_id, out_dir, fmt):
     except OSError as exc:
         click.echo(f"IO failure: {exc}", err=True)
         sys.exit(4)
+    except HodgeOrbitError as exc:
+        click.echo(f"invalid input: {exc}", err=True)
+        sys.exit(3)
     if fmt == "json":
         click.echo(
             json.dumps(

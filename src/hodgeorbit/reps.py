@@ -1,9 +1,16 @@
 """Weights, dimensions, weight multiplicities and embedding degrees.
 
-Everything is exact: weights carry ``Fraction`` coordinates, dimensions and
-degrees are arbitrary-precision integers.  The Freudenthal recursion walks the
-weight lattice downward from the highest weight; its output is checked against
-the Weyl dimension formula on every call.
+Everything is exact, and the hot paths use integers only.  A weight with
+fundamental-weight coordinates lam pairs with a positive root
+alpha = sum_j k_j alpha_j as (lam, alpha) = sum_j k_j d_j lam_j, so the Weyl
+dimension formula and the degree product are integer products with one exact
+division at the end.  The Freudenthal recursion walks down from the highest
+weight lam, keying each weight mu by its depth lam - mu, a non-negative
+integer vector in simple-root coordinates; its output is checked against the
+Weyl dimension formula on every call.  ``Fraction`` stays only where values
+need not be integers: in the public ``Weight`` coordinates, above all
+``root_coords`` (fundamental weights need not lie in the root lattice), which
+``WeightMultiset`` uses as keys, and in grading-element values on them.
 """
 
 from __future__ import annotations
@@ -12,6 +19,7 @@ import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul, sub
 
 from .errors import DimensionCapExceeded, NotDominant
 from .grading import evaluate
@@ -22,8 +30,13 @@ _DIM_CAP_ENV = "HODGEORBIT_DIM_CAP"
 
 
 def dimension_cap() -> int:
+    """``HODGEORBIT_DIM_CAP`` if set, else 10^6; ValueError unless a positive int."""
     value = os.environ.get(_DIM_CAP_ENV)
-    return int(value) if value else DEFAULT_DIM_CAP
+    if not value:
+        return DEFAULT_DIM_CAP
+    if not value.isdecimal() or int(value) < 1:
+        raise ValueError(f"{_DIM_CAP_ENV} must be a positive integer, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -42,33 +55,9 @@ class Weight:
         return all(Fraction(c).denominator == 1 for c in self.fund_coords)
 
 
-def _inverse_cartan(rs: RootSystem):
-    n = rs.rank
-    aug = [
-        [Fraction(rs.cartan[i][j]) for j in range(n)]
-        + [Fraction(1 if j == i else 0) for j in range(n)]
-        for i in range(n)
-    ]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if aug[r][col] != 0)
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return tuple(tuple(row[n:]) for row in aug)
-
-
-_INV_CACHE: dict = {}
-
-
 def inverse_cartan(rs: RootSystem):
-    key = rs.lie_type
-    if key not in _INV_CACHE:
-        _INV_CACHE[key] = _inverse_cartan(rs)
-    return _INV_CACHE[key]
+    """Rows are the fundamental weights in simple-root coordinates."""
+    return rs.inverse_cartan
 
 
 def weight_from_fund(rs: RootSystem, fund) -> Weight:
@@ -127,17 +116,25 @@ def _check_dominant_integral(lam: Weight):
         raise NotDominant(f"{lam.fund_coords} is not dominant integral")
 
 
+def _exact_quotient(num: int, den: int, what: str) -> int:
+    q, r = divmod(num, den)
+    if r:
+        raise AssertionError(f"{what} is not an integer")
+    return q
+
+
 def weyl_dimension(rs: RootSystem, lam: Weight) -> int:
-    """dim V_lam = prod_{alpha>0} (lam+rho, alpha) / (rho, alpha)."""
+    """dim V_lam = prod_{alpha>0} (lam+rho, alpha) / (rho, alpha).
+
+    Both pairings are integers: (lam+rho, alpha) = sum_j k_j d_j (lam_j + 1).
+    """
     _check_dominant_integral(lam)
-    rho_c = rho(rs).root_coords
-    lam_rho = tuple(a + b for a, b in zip(lam.root_coords, rho_c))
-    num = Fraction(1)
-    for alpha in rs.positive_roots:
-        num *= Fraction(rs.bilinear(lam_rho, alpha), rs.bilinear(rho_c, alpha))
-    if num.denominator != 1:
-        raise AssertionError("Weyl dimension is not an integer")
-    return int(num)
+    shifted = [int(c) + 1 for c in lam.fund_coords]
+    num = den = 1
+    for kd in rs.scaled_positive_roots:
+        num *= sum(map(mul, kd, shifted))
+        den *= sum(kd)
+    return _exact_quotient(num, den, "Weyl dimension")
 
 
 def weights_with_E_value_one(rs: RootSystem, E) -> list[Weight]:
@@ -182,30 +179,6 @@ class WeightMultiset:
         return sum(self.entries.values())
 
 
-def _weyl_orbit(rs: RootSystem, root_coords):
-    """Orbit of a weight (root coordinates) under the Weyl group."""
-    start = tuple(root_coords)
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for mu in frontier:
-            fund = [
-                sum(mu[i] * rs.cartan[i][j] for i in range(rs.rank))
-                for j in range(rs.rank)
-            ]
-            for j in range(rs.rank):
-                if fund[j] == 0:
-                    continue
-                alpha_j = tuple(1 if k == j else 0 for k in range(rs.rank))
-                img = tuple(mu[k] - fund[j] * alpha_j[k] for k in range(rs.rank))
-                if img not in seen:
-                    seen.add(img)
-                    nxt.append(img)
-        frontier = nxt
-    return seen
-
-
 def freudenthal_multiplicities(rs: RootSystem, lam: Weight, cap=None) -> WeightMultiset:
     """Weight multiplicities of V_lam by the Freudenthal recursion.
 
@@ -219,50 +192,60 @@ def freudenthal_multiplicities(rs: RootSystem, lam: Weight, cap=None) -> WeightM
     if dim > cap:
         raise DimensionCapExceeded(f"dim {dim} exceeds cap {cap}")
 
-    rho_c = rho(rs).root_coords
-    lam_c = lam.root_coords
-    lam_rho = tuple(a + b for a, b in zip(lam_c, rho_c))
-    norm_lam = rs.bilinear(lam_rho, lam_rho)
-    mult = {lam_c: 1}
-    level = [lam_c]
-    simples = [tuple(1 if k == j else 0 for k in range(rs.rank)) for j in range(rs.rank)]
+    # mu = lam - sum_i n_i alpha_i is keyed by its depth n; all pairings are
+    # integer dot products with mu's fundamental-weight coordinates
+    r = rs.rank
+    lam_f = [int(c) for c in lam.fund_coords]
+    strings = [
+        (alpha, kd, rs.bilinear(alpha, alpha))
+        for alpha, kd in zip(rs.positive_roots, rs.scaled_positive_roots)
+    ]
+    top = (0,) * r
+    mult = {top: 1}
+    level = [top]
     while level:
-        candidates = set()
-        for mu in level:
-            for a in simples:
-                candidates.add(tuple(m - s for m, s in zip(mu, a)))
+        candidates = {n[:i] + (n[i] + 1,) + n[i + 1:] for n in level for i in range(r)}
         nxt = []
-        for mu in sorted(candidates):
-            if mu in mult:
+        # descending depth is ascending root coordinates of mu
+        for n in sorted(candidates, reverse=True):
+            mu_f = [
+                l - sum(n_i * row[j] for n_i, row in zip(n, rs.cartan) if n_i)
+                for j, l in enumerate(lam_f)
+            ]
+            # (lam+rho)^2 - (mu+rho)^2 = (lam - mu, lam + mu + 2 rho)
+            denom = sum(
+                n_i * d * (l + m + 2)
+                for n_i, d, l, m in zip(n, rs.lengths, lam_f, mu_f)
+                if n_i
+            )
+            if denom == 0:
                 continue
-            acc = Fraction(0)
-            for alpha in rs.positive_roots:
-                k = 1
+            acc = 0
+            for alpha, kd, norm in strings:
+                # walk the whole cone below lambda: candidates need not be
+                # weights, so their strings may have gaps
+                up, k = n, 0
                 while True:
-                    up = tuple(m + k * a for m, a in zip(mu, alpha))
-                    # walk the whole cone below lambda: candidates need not be
-                    # weights, so their strings may have gaps
-                    if any(l - u < 0 for l, u in zip(lam_c, up)):
+                    up = tuple(map(sub, up, alpha))
+                    if min(up) < 0:
                         break
-                    m_up = mult.get(up, 0)
-                    if m_up:
-                        acc += 2 * m_up * rs.bilinear(up, alpha)
                     k += 1
-            mu_rho = tuple(m + r for m, r in zip(mu, rho_c))
-            denom = norm_lam - rs.bilinear(mu_rho, mu_rho)
-            if denom == 0 or acc == 0:
+                    m_up = mult.get(up)
+                    if m_up:
+                        # (mu + k alpha, alpha)
+                        acc += m_up * (sum(map(mul, kd, mu_f)) + k * norm)
+            if acc == 0:
                 continue
-            m_mu = acc / denom
-            if m_mu.denominator != 1:
-                raise AssertionError("Freudenthal produced a non-integer multiplicity")
-            m_mu = int(m_mu)
+            m_mu = _exact_quotient(2 * acc, denom, "Freudenthal multiplicity")
             if m_mu < 0:
                 raise AssertionError("negative multiplicity")
-            if m_mu > 0:
-                mult[mu] = m_mu
-                nxt.append(mu)
+            mult[n] = m_mu
+            nxt.append(n)
         level = nxt
-    ms = WeightMultiset(lam, mult)
+    lam_c = lam.root_coords
+    ms = WeightMultiset(
+        lam, {tuple(c - x for c, x in zip(lam_c, n)): m for n, m in mult.items()}
+    )
     if ms.total != dim:
         raise AssertionError(
             f"multiplicities sum to {ms.total}, Weyl dimension is {dim}"
@@ -282,15 +265,20 @@ def rep_hodge_numbers(rs: RootSystem, lam: Weight, E, cap=None) -> dict:
 
 
 def _degree_by_product(rs: RootSystem, mu: Weight) -> tuple[int, int]:
-    rho_c = rho(rs).root_coords
-    support = [a for a in rs.positive_roots if rs.bilinear(mu.root_coords, a) != 0]
-    n = len(support)
-    deg = Fraction(math.factorial(n))
-    for alpha in support:
-        deg *= Fraction(rs.bilinear(mu.root_coords, alpha), rs.bilinear(rho_c, alpha))
-    if deg.denominator != 1:
-        raise AssertionError("degree is not an integer")
-    return n, int(deg)
+    """(n, d) with d = n! prod (mu, alpha) / (rho, alpha).
+
+    The product runs over the n positive roots alpha with (mu, alpha) != 0.
+    """
+    mu_f = [int(c) for c in mu.fund_coords]
+    n = 0
+    num = den = 1
+    for kd in rs.scaled_positive_roots:
+        pair = sum(map(mul, kd, mu_f))
+        if pair:
+            n += 1
+            num *= pair
+            den *= sum(kd)
+    return n, _exact_quotient(math.factorial(n) * num, den, "degree")
 
 
 def _degree_by_hilbert_fit(rs: RootSystem, mu: Weight, n: int) -> int:

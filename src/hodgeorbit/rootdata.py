@@ -12,7 +12,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .errors import InvalidRank, NotARoot, NotStronglyOrthogonal
 
@@ -173,6 +173,37 @@ class RootSystem:
             if cand in self.roots:
                 raise AssertionError("highest root is not highest")
         self.dimension = r + 2 * len(positives)
+
+    @cached_property
+    def scaled_positive_roots(self) -> tuple[Coords, ...]:
+        """Positive roots alpha = sum_j k_j alpha_j, scaled to (k_j d_j)_j.
+
+        For lam in fundamental-weight coordinates, (lam, alpha) = sum_j k_j d_j lam_j.
+        """
+        return tuple(
+            tuple(k * d for k, d in zip(beta, self.lengths))
+            for beta in self.positive_roots
+        )
+
+    @cached_property
+    def inverse_cartan(self) -> tuple[tuple[Fraction, ...], ...]:
+        """Inverse Cartan matrix; row i is w_i in simple-root coordinates."""
+        n = self.rank
+        aug = [
+            [Fraction(self.cartan[i][j]) for j in range(n)]
+            + [Fraction(1 if j == i else 0) for j in range(n)]
+            for i in range(n)
+        ]
+        for col in range(n):
+            piv = next(r for r in range(col, n) if aug[r][col] != 0)
+            aug[col], aug[piv] = aug[piv], aug[col]
+            inv = 1 / aug[col][col]
+            aug[col] = [x * inv for x in aug[col]]
+            for r in range(n):
+                if r != col and aug[r][col] != 0:
+                    f = aug[r][col]
+                    aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
+        return tuple(tuple(row[n:]) for row in aug)
 
     # -- basic queries ----------------------------------------------------
 

@@ -88,6 +88,21 @@ def multiplicity_by_weyl_character(rs: RootSystem, lam, mu, orbit=None, kostant=
     return total
 
 
+def weyl_dimension_by_bilinear(rs: RootSystem, lam):
+    """prod_{alpha>0} (lam+rho, alpha) / (rho, alpha) in Fraction arithmetic.
+
+    Pairs root coordinates through ``rs.bilinear``, where the library pairs
+    fundamental-weight coordinates with scaled roots.
+    """
+    rho_c = rho(rs).root_coords
+    lam_rho = tuple(a + b for a, b in zip(lam.root_coords, rho_c))
+    num = Fraction(1)
+    for alpha in rs.positive_roots:
+        num *= Fraction(rs.bilinear(lam_rho, alpha), rs.bilinear(rho_c, alpha))
+    assert num.denominator == 1
+    return int(num)
+
+
 def dominant_weights_with_dim_at_most(rs: RootSystem, bound):
     """All dominant integral weights of dimension <= bound.
 

@@ -129,6 +129,25 @@ def test_tables_io_failure_exit_4(tmp_path):
     assert res.exit_code == 4
 
 
+@pytest.mark.parametrize("cap", ["abc", "0", "-3", "1.5"])
+def test_tables_bad_dim_cap_exit_2(tmp_path, cap):
+    res = CliRunner(env={"HODGEORBIT_DIM_CAP": cap}).invoke(
+        main, ["tables", "--id", "intro_hodge_numbers", "--out", str(tmp_path)]
+    )
+    assert res.exit_code == 2
+    assert len(res.stderr.strip().splitlines()) == 1
+    assert "HODGEORBIT_DIM_CAP" in res.stderr
+    assert not list(tmp_path.iterdir())
+
+
+def test_tables_dim_cap_exceeded_exit_3(tmp_path):
+    res = CliRunner(env={"HODGEORBIT_DIM_CAP": "10"}).invoke(
+        main, ["tables", "--id", "intro_hodge_numbers", "--out", str(tmp_path)]
+    )
+    assert res.exit_code == 3
+    assert res.stderr == "invalid input: dim 14 exceeds cap 10\n"
+
+
 def test_tables_match_committed_golden_files():
     """CI-style diff: regenerated tables are byte-identical to golden/."""
     for tid in TABLE_IDS:

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -6,6 +7,7 @@ from helpers import (
     KostantPartition,
     dominant_weights_with_dim_at_most,
     multiplicity_by_weyl_character,
+    weyl_dimension_by_bilinear,
     weyl_orbit_with_signs,
 )
 from hodgeorbit.errors import DimensionCapExceeded, NotDominant
@@ -68,6 +70,17 @@ def test_weyl_dimension_values():
         assert weyl_dimension(rs, adj) == rs.dimension
 
 
+def test_weyl_dimension_against_bilinear_oracle():
+    rng = random.Random(20140717)
+    for name in ORACLE_TYPES + ["E6", "E7", "E8"]:
+        rs = root_system(name)
+        for _ in range(12):
+            fund = tuple(rng.choice((0, 0, 1, 2, 5)) for _ in range(rs.rank))
+            lam = weight_from_fund(rs, fund)
+            expected = weyl_dimension_by_bilinear(rs, lam)
+            assert weyl_dimension(rs, lam) == expected, (name, fund)
+
+
 def test_weyl_dimension_rejects_non_dominant():
     g2 = root_system("G2")
     with pytest.raises(NotDominant):
@@ -94,6 +107,17 @@ def test_freudenthal_f4_26():
     assert ms.total == 26
     assert ms.entries[zero] == 2
     assert sum(1 for w in ms.entries if w != zero) == 24
+
+
+@pytest.mark.parametrize("name", ["E6", "E7", "E8"])
+def test_freudenthal_exceptional_adjoint(name):
+    rs = root_system(name)
+    ms = freudenthal_multiplicities(rs, weight_from_root(rs, rs.highest_root))
+    zero = (0,) * rs.rank
+    assert ms.total == rs.dimension
+    assert ms.entries[zero] == rs.rank
+    assert {w for w in ms.entries if w != zero} == rs.roots
+    assert all(m == 1 for w, m in ms.entries.items() if w != zero)
 
 
 def test_freudenthal_dimension_cap():
