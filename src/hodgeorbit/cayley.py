@@ -60,6 +60,8 @@ def validate_sos(rs: RootSystem, E, B) -> list[str]:
     for i in range(len(roots)):
         for j in range(i + 1, len(roots)):
             a, b = roots[i], roots[j]
+            if a == b:
+                continue  # reported once as a repeated root
             s = tuple(x + y for x, y in zip(a, b))
             d = tuple(x - y for x, y in zip(a, b))
             if rs.is_root(s):

@@ -12,8 +12,17 @@ Any consistent sign convention would do; every property asserted downstream
 is convention-invariant.
 
 Elements of g are sparse dicts over the basis (H^{alpha_1}, .., H^{alpha_r},
-x^alpha in root order, positives first).  Scalars are Gaussian rationals so
-the compact real form and Cayley standard triples stay exact.
+x^alpha in root order, positives first, then their negatives in the same
+order).  Structure constants and the bracket table on basis indices are
+integers.  Elements handed out or taken in (the rational form, Cayley
+standard triples, sl2 matrices) carry Gaussian-rational scalars, so the
+compact real form stays exact.
+
+The rational form is verified in Gaussian integers: its members h^j, u^beta,
+v^beta have entries in {+-1, +-i}, so they are converted once to (re, im)
+integer pairs and bracketed through the integer table.  Reading a bracket
+back in the integral basis visits only its nonzero entries, each +-beta pair
+once, so a verified bracket costs O(nnz) and integrality is a parity test.
 """
 
 from __future__ import annotations
@@ -21,6 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
 from .errors import CompactRoot, NotARoot
 from .grading import evaluate
@@ -103,13 +113,21 @@ HALF_I = GaussianRational(Fraction(0), Fraction(1, 2))
 # -- structure constants ------------------------------------------------------
 
 
+def _exact(num: int, den: int) -> int:
+    q, rem = divmod(num, den)
+    if rem:
+        raise AssertionError("non-integral structure constant")
+    return q
+
+
 class StructureConstants:
     """Integral Chevalley-basis bracket data for one root system."""
 
     def __init__(self, rs: RootSystem):
         self.rs = rs
-        self._order = {b: k for k, b in enumerate(rs.positive_roots)}
-        self.n_table = self._build_positive_table()
+        self._norm = {b: rs.bilinear(b, b) for b in rs.positive_roots}
+        self.n_table: dict = {}
+        self._build_positive_table()
         self._extend_table()
         self._build_basis()
 
@@ -124,29 +142,23 @@ class StructureConstants:
                 return p
             p += 1
 
-    def _build_positive_table(self) -> dict:
+    def _n_mixed(self, a, b) -> int:
+        """N_{a, -b} for positive roots a != b with a - b a root, from the
+        positive-root entries of ``n_table`` by the cyclic relation."""
+        norm = self._norm
+        diff = tuple(x - y for x, y in zip(a, b))
+        if sum(diff) > 0:
+            # cyclic with c = -(a - b)
+            return _exact(-norm[diff] * self.n_table[(b, diff)], norm[a])
+        delta = tuple(-x for x in diff)
+        return _exact(norm[delta] * self.n_table[(delta, a)], norm[b])
+
+    def _build_positive_table(self):
         rs = self.rs
-        table: dict = {}
+        table = self.n_table
 
         def key(root):
             return (sum(root), root)
-
-        def n_mixed(a, bneg):
-            """N_{a, -bneg} for positive a, bneg with a - bneg a root."""
-            diff = tuple(x - y for x, y in zip(a, bneg))
-            if sum(diff) > 0:
-                # cyclic with c = -(a - bneg)
-                num = rs.bilinear(diff, diff)
-                den = rs.bilinear(a, a)
-                val = Fraction(-num * table[(bneg, diff)], den)
-            else:
-                delta = tuple(-x for x in diff)
-                num = rs.bilinear(delta, delta)
-                den = rs.bilinear(bneg, bneg)
-                val = Fraction(num * table[(delta, a)], den)
-            if val.denominator != 1:
-                raise AssertionError("non-integral structure constant")
-            return int(val)
 
         for gamma in rs.positive_roots:
             if sum(gamma) < 2:
@@ -164,24 +176,16 @@ class StructureConstants:
             table[(eps, eta)] = n_extra
             table[(eta, eps)] = -n_extra
             # N_{gamma, -eps} via the cyclic relation
-            n_gamma_meps = Fraction(
-                -rs.bilinear(eta, eta) * n_extra, rs.bilinear(gamma, gamma)
-            )
-            if n_gamma_meps.denominator != 1:
-                raise AssertionError("non-integral structure constant")
-            n_gamma_meps = int(n_gamma_meps)
+            n_gamma_meps = _exact(-self._norm[eta] * n_extra, self._norm[gamma])
             for a, b in pairs[1:]:
                 term = 0
                 a_eps = tuple(x - y for x, y in zip(a, eps))
                 if rs.is_root(a_eps):
-                    term += n_mixed(a, eps) * table[(a_eps, b)]
+                    term += self._n_mixed(a, eps) * table[(a_eps, b)]
                 b_eps = tuple(x - y for x, y in zip(b, eps))
                 if rs.is_root(b_eps):
-                    term += n_mixed(b, eps) * table[(a, b_eps)]
-                val = Fraction(term, n_gamma_meps)
-                if val.denominator != 1:
-                    raise AssertionError("non-integral structure constant")
-                val = int(val)
+                    term += self._n_mixed(b, eps) * table[(a, b_eps)]
+                val = _exact(term, n_gamma_meps)
                 expected = self._string_down(a, b) + 1
                 if abs(val) != expected:
                     raise AssertionError(
@@ -189,38 +193,18 @@ class StructureConstants:
                     )
                 table[(a, b)] = val
                 table[(b, a)] = -val
-        return table
 
     def _extend_table(self):
         """Fill N_{a,b} for all sign combinations with a + b a root."""
         rs = self.rs
         full = dict(self.n_table)
         neg = lambda v: tuple(-x for x in v)
-
-        def mixed(a, bpos):
-            """N_{a, -bpos} for positive roots a != bpos with a - bpos a root."""
-            diff = tuple(x - y for x, y in zip(a, bpos))
-            if sum(diff) > 0:
-                val = Fraction(
-                    -rs.bilinear(diff, diff) * self.n_table[(bpos, diff)],
-                    rs.bilinear(a, a),
-                )
-            else:
-                delta = neg(diff)
-                val = Fraction(
-                    rs.bilinear(delta, delta) * self.n_table[(delta, a)],
-                    rs.bilinear(bpos, bpos),
-                )
-            if val.denominator != 1:
-                raise AssertionError("non-integral structure constant")
-            return int(val)
-
         for a in rs.positive_roots:
             for b in rs.positive_roots:
                 if a == b:
                     continue
                 if rs.is_root(tuple(x - y for x, y in zip(a, b))):
-                    v = mixed(a, b)
+                    v = self._n_mixed(a, b)
                     full[(a, neg(b))] = v
                     full[(neg(b), a)] = -v
                     full[(neg(a), b)] = -v
@@ -247,27 +231,21 @@ class StructureConstants:
                 if pair:
                     table[(j, ia)] = ((ia, pair),)
                     table[(ia, j)] = ((ia, -pair),)
-            for b, ib in self.root_index.items():
-                s = tuple(x + y for x, y in zip(a, b))
-                if all(c == 0 for c in s):
-                    coroot = rs.coroot(a)
-                    table[(ia, ib)] = tuple(
-                        (j, c) for j, c in enumerate(coroot) if c
-                    )
-                elif rs.is_root(s):
-                    table[(ia, ib)] = ((self.root_index[s], self.n_table[(a, b)]),)
-        self.bracket_table = table
-        # Killing form closed-form data
-        self.killing_h = tuple(
-            tuple(
-                sum(
-                    evaluate(g, rs.coroot_s_coords(si)) * evaluate(g, rs.coroot_s_coords(sj))
-                    for beta in rs.positive_roots
-                    for g in (beta, tuple(-c for c in beta))
-                )
-                for sj in [tuple(1 if t == j else 0 for t in range(r)) for j in range(r)]
+            # [x^a, x^{-a}] = H^a
+            table[(ia, self.root_index[tuple(-c for c in a)])] = tuple(
+                (j, c) for j, c in enumerate(rs.coroot(a)) if c
             )
-            for si in [tuple(1 if t == i else 0 for t in range(r)) for i in range(r)]
+        for (a, b), n in self.n_table.items():
+            s = tuple(x + y for x, y in zip(a, b))
+            table[(self.root_index[a], self.root_index[b])] = ((self.root_index[s], n),)
+        self.bracket_table = table
+        # Killing form closed-form data: B(H^i, H^j) = sum_g g(H^i) g(H^j)
+        simple_coroots = [
+            rs.coroot_s_coords(tuple(int(t == i) for t in range(r))) for i in range(r)
+        ]
+        values = [[evaluate(g, h) for h in simple_coroots] for g in roots]
+        self.killing_h = tuple(
+            tuple(sum(v[i] * v[j] for v in values) for j in range(r)) for i in range(r)
         )
 
     # -- element algebra ----------------------------------------------------
@@ -356,22 +334,17 @@ def adjoint_matrix(sc: StructureConstants, element: dict) -> list:
     return mat
 
 
+
+
 def jacobi_residual(sc: StructureConstants, i: int, j: int, k: int) -> dict:
     """[x_i,[x_j,x_k]] + [x_j,[x_k,x_i]] + [x_k,[x_i,x_j]] on basis indices."""
+    table = sc.bracket_table
     out: dict = {}
-
-    def acc(a, bc):
-        for m, c in sc.bracket({a: 1}, dict(bc)).items():
-            cur = out.get(m, 0) + c
-            if cur:
-                out[m] = cur
-            elif m in out:
-                del out[m]
-
-    acc(i, sc.basis_bracket(j, k))
-    acc(j, sc.basis_bracket(k, i))
-    acc(k, sc.basis_bracket(i, j))
-    return out
+    for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+        for m, n in table.get((b, c), ()):
+            for t, nt in table.get((a, m), ()):
+                out[t] = out.get(t, 0) + n * nt
+    return {t: v for t, v in out.items() if v} if out else out
 
 
 # -- the rational/integral form ----------------------------------------------
@@ -428,37 +401,72 @@ def rational_form(sc: StructureConstants, T) -> RationalFormBasis:
     return basis
 
 
-def _integral_coordinates(sc: StructureConstants, basis: RationalFormBasis, vec: dict):
-    """Coordinates of ``vec`` in the integral basis; None when not integral."""
-    rs = sc.rs
-    coords = []
-    labels = []
-    for j in range(rs.rank):
-        c = GaussianRational.of(vec.get(j, 0))
-        a = c / I_UNIT
-        coords.append(a)
-        labels.append(("h", j))
-    for beta in basis.parity:
-        ib = sc.root_index[beta]
-        ineg = sc.root_index[tuple(-x for x in beta)]
-        cp = GaussianRational.of(vec.get(ib, 0))
-        cm = GaussianRational.of(vec.get(ineg, 0))
-        if basis.parity[beta]:
-            a_u = (cp - cm) / (2 * I_UNIT)
-            a_v = (cp + cm) / 2
+def _gaussian_integer_vectors(vecs):
+    """``vecs`` scaled by their common denominator d, as (d, vectors) with
+    each vector a tuple of (index, re, im) integer triples."""
+    entries = [[(k, GaussianRational.of(c)) for k, c in vec.items()] for vec in vecs]
+    d = lcm(*(x.denominator for row in entries for _, c in row for x in (c.re, c.im)))
+    return d, [
+        tuple((k, int(c.re * d), int(c.im * d)) for k, c in row if c) for row in entries
+    ]
+
+
+def _gaussian_bracket(table: dict, a, b) -> dict:
+    """Bracket of two (index, re, im) vectors through the integer bracket
+    table, as index -> (re, im)."""
+    out: dict = {}
+    for i, ar, ai in a:
+        for j, br, bi in b:
+            entry = table.get((i, j))
+            if entry:
+                cr, ci = ar * br - ai * bi, ar * bi + ai * br
+                for k, n in entry:
+                    re, im = out.get(k, (0, 0))
+                    out[k] = (re + n * cr, im + n * ci)
+    return out
+
+
+def _integral_coordinates(sc: StructureConstants, parity: dict, vec: dict, scale: int):
+    """Nonzero coordinates of ``vec`` in the integral basis; None when one is
+    not integral.
+
+    ``vec`` maps basis indices to Gaussian integers (re, im) that are ``scale``
+    times the true entries.  Only its entries are visited, each +-beta pair
+    once, so the cost is O(nnz).
+    """
+    r = sc.rs.rank
+    npos = len(parity)
+    roots = sc.basis_roots
+    out = {}
+    for k, (re, im) in vec.items():
+        if k < r:
+            # c = i a for the coordinate a on h^k = i H^{alpha_k}
+            if re or im % scale:
+                return None
+            if im:
+                out[("h", k)] = im // scale
+            continue
+        m = k - r
+        if m >= npos:
+            if k - npos in vec:
+                continue  # the pair is read at x^beta
+            m -= npos
+        beta = roots[m]
+        pr, pi = vec.get(r + m, (0, 0))
+        mr, mi = vec.get(r + npos + m, (0, 0))
+        if parity[beta]:
+            # u = i (x^b - x^-b), v = x^b + x^-b
+            a_u, off_u, a_v, off_v = pi - mi, pr - mr, pr + mr, pi + mi
         else:
-            a_u = (cp - cm) / 2
-            a_v = (cp + cm) / (2 * I_UNIT)
-        coords.append(a_u)
-        labels.append(("u", beta))
-        coords.append(a_v)
-        labels.append(("v", beta))
-    out = []
-    for c in coords:
-        if c.im != 0 or c.re.denominator != 1:
+            # u = x^b - x^-b, v = i (x^b + x^-b)
+            a_u, off_u, a_v, off_v = pr - mr, pi - mi, pi + mi, pr + mr
+        if off_u or off_v or a_u % (2 * scale) or a_v % (2 * scale):
             return None
-        out.append(int(c.re))
-    return dict(zip(labels, out))
+        if a_u:
+            out[("u", beta)] = a_u // (2 * scale)
+        if a_v:
+            out[("v", beta)] = a_v // (2 * scale)
+    return out
 
 
 def theta(sc: StructureConstants, T, vec: dict) -> dict:
@@ -476,23 +484,23 @@ def theta(sc: StructureConstants, T, vec: dict) -> dict:
 
 
 def _verify_rational_form(sc: StructureConstants, basis: RationalFormBasis):
-    rs = sc.rs
     members = []  # (block, vector): block 0 = k, 1 = k^perp
     for hj in basis.h:
         members.append((0, hj))
     for beta, p in basis.parity.items():
         members.append((p, basis.u[beta]))
         members.append((p, basis.v[beta]))
-    for pa, a in members:
-        for pb, b in members:
-            br = sc.bracket(a, b)
-            coords = _integral_coordinates(sc, basis, br)
+    d, vecs = _gaussian_integer_vectors(vec for _, vec in members)
+    blocks = [p for p, _ in members]
+    table = sc.bracket_table
+    for pa, a in zip(blocks, vecs):
+        for pb, b in zip(blocks, vecs):
+            br = _gaussian_bracket(table, a, b)
+            coords = _integral_coordinates(sc, basis.parity, br, d * d)
             if coords is None:
                 raise AssertionError("g_Z is not closed under the bracket")
             want_block = (pa + pb) % 2
-            for (kind, label), c in coords.items():
-                if c == 0:
-                    continue
+            for kind, label in coords:
                 block = 0 if kind == "h" else basis.parity[label]
                 if block != want_block:
                     raise AssertionError("Cartan decomposition blocks violated")
@@ -524,34 +532,22 @@ def _real_of(value):
 
 
 def _definite(gram, sign) -> bool:
-    """Sylvester's criterion on an exact symmetric matrix."""
+    """Is sign * gram (exact, symmetric) positive definite?  One LDL^T pass:
+    the k-th pivot is minor_k / minor_{k-1}, so every pivot is positive
+    exactly when Sylvester's criterion holds."""
     n = len(gram)
     m = [[sign * Fraction(x) for x in row] for row in gram]
-    for k in range(1, n + 1):
-        det = _det([row[:k] for row in m[:k]])
-        if det <= 0:
+    for k in range(n):
+        row = m[k]
+        if row[k] <= 0:
             return False
+        cols = [j for j in range(k + 1, n) if row[j]]
+        for i in cols:
+            f = m[i][k] / row[k]
+            target = m[i]
+            for j in cols:
+                target[j] -= f * row[j]
     return True
-
-
-def _det(mat):
-    mat = [row[:] for row in mat]
-    n = len(mat)
-    det = Fraction(1)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if mat[r][col] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            mat[col], mat[piv] = mat[piv], mat[col]
-            det = -det
-        det *= mat[col][col]
-        inv = 1 / mat[col][col]
-        for r in range(col + 1, n):
-            f = mat[r][col] * inv
-            if f:
-                mat[r] = [x - f * y for x, y in zip(mat[r], mat[col])]
-    return det
 
 
 # -- Cayley standard triples ---------------------------------------------------

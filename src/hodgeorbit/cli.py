@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import json
 import os
-import random
 import sys
 
 import click
@@ -36,14 +35,6 @@ TABLE_IDS = (
     "intro_hodge_numbers",
 )
 
-_SEED_RNG = random.Random(0)
-
-
-def seeded_rng() -> random.Random:
-    """RNG behind all randomized property sweeps; reseeded by --seed."""
-    return _SEED_RNG
-
-
 def _parse_type(type_str, rank):
     try:
         if rank is not None:
@@ -57,11 +48,21 @@ def _coords(text):
     return tuple(int(x) for x in text.split(","))
 
 
+def _parse_sos(text):
+    try:
+        return [_coords(part) for part in text.split("|")]
+    except ValueError:
+        raise click.BadParameter(
+            f"expected roots as comma-separated integers joined by '|', got {text!r}",
+            param_hint="--sos",
+        )
+
+
 @click.group()
 @click.option("--seed", type=int, default=0, show_default=True,
-              help="Seed for randomized property sweeps.")
+              help="Reserved; no command uses it yet.")
 def main(seed):
-    _SEED_RNG.seed(seed)
+    pass
 
 
 @main.command()
@@ -120,6 +121,7 @@ def orbit(type_str, rank, node, chain, sos_str, fmt):
     rs = _parse_type(type_str, rank)
     if (chain is None) == (sos_str is None):
         raise click.BadParameter("exactly one of --chain auto or --sos is required")
+    B = None if sos_str is None else _parse_sos(sos_str)
     rows = []
     try:
         E = grading.grading_element_for(rs, {node})
@@ -139,7 +141,6 @@ def orbit(type_str, rank, node, chain, sos_str, fmt):
                     }
                 )
         else:
-            B = [_coords(part) for part in sos_str.split("|")]
             violations = cayley.validate_sos(rs, E, B)
             if violations:
                 for msg in violations:

@@ -3,7 +3,9 @@
 Everything here is deliberately written against the definitions rather than
 reusing the library's algorithms: weight multiplicities come from the Weyl
 character formula with an explicit Kostant partition count, Weyl groups are
-enumerated as orbits of a strictly dominant vector.
+enumerated as orbits of a strictly dominant vector.  Definiteness is
+Sylvester's criterion with one determinant per leading minor, and the Jacobi
+sum is taken through dict brackets.
 """
 
 from fractions import Fraction
@@ -129,3 +131,55 @@ def dominant_weights_with_dim_at_most(rs: RootSystem, bound):
 
     extend([])
     return found
+
+
+def definite_by_sylvester(gram, sign):
+    """Sylvester's criterion: every leading minor of sign * gram is positive.
+
+    Each minor is a separate exact determinant, so this costs O(n^4); the
+    library runs one elimination pass instead.
+    """
+    n = len(gram)
+    m = [[sign * Fraction(x) for x in row] for row in gram]
+    for k in range(1, n + 1):
+        if _det([row[:k] for row in m[:k]]) <= 0:
+            return False
+    return True
+
+
+def _det(mat):
+    mat = [row[:] for row in mat]
+    n = len(mat)
+    det = Fraction(1)
+    for col in range(n):
+        piv = next((r for r in range(col, n) if mat[r][col] != 0), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != col:
+            mat[col], mat[piv] = mat[piv], mat[col]
+            det = -det
+        det *= mat[col][col]
+        inv = 1 / mat[col][col]
+        for r in range(col + 1, n):
+            f = mat[r][col] * inv
+            if f:
+                mat[r] = [x - f * y for x, y in zip(mat[r], mat[col])]
+    return det
+
+
+def jacobi_residual_by_dicts(sc, i, j, k):
+    """The Jacobi sum of three basis vectors through ``sc.bracket`` on dicts."""
+    out = {}
+
+    def acc(a, bc):
+        for m, c in sc.bracket({a: 1}, dict(bc)).items():
+            cur = out.get(m, 0) + c
+            if cur:
+                out[m] = cur
+            elif m in out:
+                del out[m]
+
+    acc(i, sc.basis_bracket(j, k))
+    acc(j, sc.basis_bracket(k, i))
+    acc(k, sc.basis_bracket(i, j))
+    return out

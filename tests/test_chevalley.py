@@ -1,3 +1,5 @@
+import copy
+import dataclasses
 import itertools
 import random
 from fractions import Fraction
@@ -20,9 +22,12 @@ from hodgeorbit.chevalley import (
     structure_constants,
     theta,
 )
+from hodgeorbit.chevalley import _definite, _real_of, _verify_rational_form
 from hodgeorbit.errors import CompactRoot
 from hodgeorbit.grading import evaluate
 from hodgeorbit.rootdata import root_system
+
+from helpers import definite_by_sylvester, jacobi_residual_by_dicts
 
 EXHAUSTIVE_TYPES = ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C3", "C4",
                     "D4", "F4", "G2"]
@@ -158,8 +163,117 @@ def test_rational_form_g2_dimensions():
 def test_rational_form_full_verification_runs():
     # construction self-verifies closure, blocks, theta and signature
     for name, T in [("A2", (1, 0)), ("B2", (0, 1)), ("C3", (1, 0, 0)),
-                    ("G2", (1, 0))]:
+                    ("G2", (1, 0)), ("E6", (0, 1, 0, 0, 0, 0)),
+                    ("E7", (1, 0, 0, 0, 0, 0, 0)), ("E8", (0, 0, 0, 0, 0, 0, 0, 1))]:
         rational_form(_sc(name), T)
+
+
+def test_verify_rejects_halved_u_vector():
+    sc = _sc("G2")
+    rf = rational_form(sc, (0, 1))
+    u = dict(rf.u)
+    u[(1, 0)] = {k: c * Fraction(1, 2) for k, c in u[(1, 0)].items()}
+    with pytest.raises(AssertionError, match="not closed"):
+        _verify_rational_form(sc, dataclasses.replace(rf, u=u))
+
+
+def test_verify_rejects_flipped_parity_label():
+    # the lattice is read through the parity labels, so a flipped label breaks
+    # closure before the block check is reached
+    sc = _sc("B3")
+    rf = rational_form(sc, (0, 1, 0))
+    parity = dict(rf.parity)
+    parity[(0, 1, 0)] ^= 1
+    with pytest.raises(AssertionError, match="not closed"):
+        _verify_rational_form(sc, dataclasses.replace(rf, parity=parity))
+
+
+def test_verify_rejects_noncompact_vector_in_compact_block():
+    # v^beta for a noncompact beta lies in g_Z, so every bracket stays
+    # integral; in an h slot it is labelled compact, which the blocks catch
+    sc = _sc("G2")
+    rf = rational_form(sc, (0, 1))
+    assert rf.parity[(0, 1)] == 1
+    h = (rf.v[(0, 1)],) + rf.h[1:]
+    with pytest.raises(AssertionError, match="blocks violated"):
+        _verify_rational_form(sc, dataclasses.replace(rf, h=h))
+
+
+def test_definite_rejects_negated_compact_gram():
+    sc = _sc("B3")
+    rf = rational_form(sc, (0, 1, 0))
+    compact = list(rf.h) + [
+        w for beta, p in rf.parity.items() if p == 0 for w in (rf.u[beta], rf.v[beta])
+    ]
+    gram = [[_real_of(sc.killing(a, b)) for b in compact] for a in compact]
+    assert len(gram) == rf.compact_dim
+    assert _definite(gram, -1)
+    assert not _definite([[-x for x in row] for row in gram], -1)
+    assert not _definite(gram, 1)
+
+
+def _symmetric_samples(rng):
+    """Seeded symmetric integer matrices: (kind, matrix)."""
+    for _ in range(40):
+        n = rng.randrange(1, 8)
+        k = n if rng.random() < 0.5 else rng.randrange(1, n + 1)
+        # M M^T is positive semidefinite; definite when M has full rank n
+        m = [[rng.randrange(-4, 5) for _ in range(k)] for _ in range(n)]
+        gram = [[sum(a * b for a, b in zip(r, s)) for s in m] for r in m]
+        yield ("definite" if k == n else "semidefinite"), gram
+        if n > 1:
+            perm = list(range(n))
+            rng.shuffle(perm)
+            sym = [[rng.randrange(-6, 7) for _ in range(n)] for _ in range(n)]
+            yield "indefinite", [[sym[i][j] + sym[j][i] for j in range(n)]
+                                 for i in range(n)]
+        diag = [rng.randrange(1, 9) for _ in range(n)]
+        yield "diagonal", [[diag[i] if i == j else 0 for j in range(n)]
+                           for i in range(n)]
+
+
+def test_definite_matches_sylvester_oracle():
+    rng = random.Random(2718)
+    verdicts = set()
+    for kind, gram in _symmetric_samples(rng):
+        for sign in (1, -1):
+            got = _definite(gram, sign)
+            assert got == definite_by_sylvester(gram, sign), (kind, sign, gram)
+            verdicts.add((kind, sign, got))
+    # every kind of input produced the verdict it should, at least once
+    assert ("definite", 1, True) in verdicts
+    assert ("semidefinite", 1, False) in verdicts
+    assert ("indefinite", 1, False) in verdicts
+    assert ("indefinite", -1, False) in verdicts
+    assert ("diagonal", -1, False) in verdicts
+
+
+def test_jacobi_residual_matches_dict_oracle():
+    for name in ("G2", "B3"):
+        sc = _sc(name)
+        for i, j, k in itertools.product(range(sc.dim), repeat=3):
+            assert jacobi_residual(sc, i, j, k) == jacobi_residual_by_dicts(sc, i, j, k)
+    sc = _sc("E8")
+    rng = random.Random(4242)
+    for _ in range(2000):
+        i, j, k = (rng.randrange(sc.dim) for _ in range(3))
+        assert jacobi_residual(sc, i, j, k) == jacobi_residual_by_dicts(sc, i, j, k)
+
+
+def test_jacobi_residual_matches_dict_oracle_on_corrupted_table():
+    sc = copy.copy(_sc("G2"))
+    sc.bracket_table = dict(sc.bracket_table)
+    a, b = sc.root_index[(1, 0)], sc.root_index[(0, 1)]
+    ((target, n),) = sc.bracket_table[(a, b)]
+    sc.bracket_table[(a, b)] = ((target, n + 1),)
+    nonzero = 0
+    for i, j, k in itertools.product(range(sc.dim), repeat=3):
+        got = jacobi_residual(sc, i, j, k)
+        assert got == jacobi_residual_by_dicts(sc, i, j, k)
+        nonzero += bool(got)
+    assert nonzero
+    # the corruption stayed in the copy
+    assert not jacobi_residual(_sc("G2"), a, b, sc.root_index[(-1, 0)])
 
 
 def test_rational_form_b3_is_so43():

@@ -194,3 +194,29 @@ def test_cli_entry_point_subprocess():
 
 def test_seed_option_accepted():
     assert _run(["--seed", "42", "roots", "--type", "A1"]).exit_code == 0
+
+
+@pytest.mark.parametrize("sos", ["1,a", "", "1,0,0|", "|1,0,0", "1,,0"])
+def test_orbit_malformed_sos_exit_2(sos):
+    res = _run(["orbit", "--type", "B3", "--node", "2", "--sos", sos])
+    assert res.exit_code == 2
+    assert "Traceback" not in res.output
+    errors = [line for line in res.output.splitlines() if line.startswith("Error:")]
+    assert len(errors) == 1
+    assert "--sos" in errors[0]
+
+
+def test_orbit_repeated_root_reports_only_repetition():
+    res = _run(["orbit", "--type", "B3", "--node", "2", "--sos", "0,1,0|0,1,0"])
+    assert res.exit_code == 3
+    assert res.stderr == "invalid SOS: repeated root\n"
+
+
+def test_validate_sos_repeated_root_is_one_violation():
+    from hodgeorbit import cayley, grading
+    from hodgeorbit.rootdata import root_system
+
+    rs = root_system("B3")
+    E = grading.grading_element_for(rs, {2})
+    assert cayley.validate_sos(rs, E, [(0, 1, 0), (0, 1, 0)]) == ["repeated root"]
+    assert cayley.validate_sos(rs, E, [(0, 1, 0), (1, 1, 0)]) != []
