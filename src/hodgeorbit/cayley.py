@@ -14,6 +14,7 @@ bigraded dimensions.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 from .errors import (
     InvalidSOS,
@@ -27,7 +28,7 @@ from .grading import (
     parabolic,
 )
 from .reps import Weight
-from .rootdata import RootSystem, coroot_pairing, strongly_orthogonal
+from .rootdata import RootSystem, cartan_type, coroot_pairing, strongly_orthogonal
 
 # -- strongly orthogonal sets ---------------------------------------------
 
@@ -305,34 +306,12 @@ def _invariants_from_diamond(rs: RootSystem, dia: HodgeDeligneDiamond) -> OrbitI
 # -- codimension-one uniqueness ----------------------------------------------
 
 
-def _levi_orbit_of_root(rs: RootSystem, i: int, start) -> frozenset:
-    """Orbit of a root under the reflections r_j, j != i."""
-    start = rs.check_root(start)
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for alpha in frontier:
-            for j in range(rs.rank):
-                if j == i - 1:
-                    continue
-                pair = sum(alpha[k] * rs.cartan[k][j] for k in range(rs.rank))
-                img = tuple(
-                    alpha[k] - pair * (1 if k == j else 0) for k in range(rs.rank)
-                )
-                if img not in seen:
-                    seen.add(img)
-                    nxt.append(img)
-        frontier = nxt
-    return frozenset(seen)
-
-
 def codim_one_uniqueness_check(rs: RootSystem, i: int) -> bool:
     """Exactly one Levi-Weyl class of singletons B = {beta} has c = 1,
     namely the class of alpha_i."""
     E = grading_element_for(rs, {i})
-    alpha_i = tuple(1 if k == i - 1 else 0 for k in range(rs.rank))
-    orbit = _levi_orbit_of_root(rs, i, alpha_i)
+    levi = [j for j in range(rs.rank) if j != i - 1]
+    orbit = rs.weyl_orbit([rs.simple_roots[i - 1]], levi)
     codim_one = {
         b for b in sos_candidates(rs, E) if orbit_invariants(rs, E, (b,)).codim == 1
     }
@@ -351,8 +330,7 @@ def weight_grading_dims(rs: RootSystem, i: int) -> dict:
     """Eigenspace dimensions of H^{alpha_i}; checks dim g_l = dim g^{-l}
     and the S-coordinate expression H^{alpha_i} = sum_j A_{ji} S^j."""
     _require_fundamental_adjoint(rs, i)
-    alpha_i = tuple(1 if k == i - 1 else 0 for k in range(rs.rank))
-    h = rs.coroot_s_coords(alpha_i)
+    h = rs.coroot_s_coords(rs.simple_roots[i - 1])
     expected = tuple(rs.cartan[j][i - 1] for j in range(rs.rank))
     if h != expected:
         raise AssertionError("coroot S-coordinates disagree with the Cartan column")
@@ -375,28 +353,15 @@ def weyl_flip(rs: RootSystem, i: int) -> tuple:
     Applying r_{j_1} first.  The induced action maps the H^{alpha_i}-eigenvalue
     l root set onto the S^i-eigenvalue -l root set, which is verified.
     """
-    alpha_i = tuple(1 if k == i - 1 else 0 for k in range(rs.rank))
+    alpha_i = rs.simple_roots[i - 1]
     if rs.root_length(alpha_i) != rs.root_length(rs.highest_root):
         raise LengthMismatch(f"alpha_{i} and the highest root have different lengths")
     start = tuple(-c for c in alpha_i)
     target = rs.highest_root
-    parent: dict = {start: None}
-    frontier = [start]
-    while target not in parent and frontier:
-        nxt = []
-        for alpha in frontier:
-            for j in range(rs.rank):
-                pair = sum(alpha[k] * rs.cartan[k][j] for k in range(rs.rank))
-                img = tuple(
-                    alpha[k] - pair * (1 if k == j else 0) for k in range(rs.rank)
-                )
-                if img not in parent:
-                    parent[img] = (alpha, j + 1)
-                    nxt.append(img)
-        frontier = nxt
+    parent = rs.weyl_orbit([start])
     if target not in parent:
         raise LengthMismatch("no Weyl word found")  # unreachable for equal lengths
-    word = []
+    word = []  # 0-based nodes, last reflection first
     node = target
     while parent[node] is not None:
         node, j = parent[node]
@@ -404,11 +369,9 @@ def weyl_flip(rs: RootSystem, i: int) -> tuple:
     word.reverse()
 
     def apply_word(alpha):
-        cur = alpha
         for j in word:
-            pair = sum(cur[k] * rs.cartan[k][j - 1] for k in range(rs.rank))
-            cur = tuple(cur[k] - pair * (1 if k == j - 1 else 0) for k in range(rs.rank))
-        return cur
+            alpha = rs.simple_reflection(alpha, j)
+        return alpha
 
     if apply_word(start) != target:
         raise AssertionError("Weyl word does not map -alpha_i to the highest root")
@@ -423,7 +386,7 @@ def weyl_flip(rs: RootSystem, i: int) -> tuple:
             img = apply_word(alpha)
             if evaluate(img, h_tilde) != -ell:
                 raise AssertionError("flip does not negate the grading")
-    return tuple(word)
+    return tuple(j + 1 for j in word)
 
 
 # -- enhanced SL2 orbits ------------------------------------------------------
@@ -465,49 +428,7 @@ def _subsystem_types(rs: RootSystem, roots) -> tuple:
         )
         if not decomposable:
             simple.append(a)
-    if not simple:
-        return ()
-    # components via mutual non-orthogonality
-    comps = []
-    unassigned = list(simple)
-    while unassigned:
-        comp = [unassigned.pop()]
-        changed = True
-        while changed:
-            changed = False
-            for a in list(unassigned):
-                if any(rs.bilinear(a, b) != 0 for b in comp):
-                    comp.append(a)
-                    unassigned.remove(a)
-                    changed = True
-        comps.append(comp)
-    types = []
-    for comp in comps:
-        sub = [
-            [
-                int(coroot_pairing(rs, a, b)) if a != b else 2
-                for b in comp
-            ]
-            for a in comp
-        ]
-        types.append(_classify_cartan(sub))
-    return tuple(sorted(types, key=str))
-
-
-def _classify_cartan(sub):
-    from .lines import _cartan_isomorphic
-    from .rootdata import LieType, build_root_system
-
-    n = len(sub)
-    for family in "ABCDEFG":
-        try:
-            cand = LieType(family, n)
-        except Exception:
-            continue
-        target = build_root_system(cand).cartan
-        if _cartan_isomorphic([list(r) for r in sub], [list(r) for r in target]):
-            return cand
-    raise AssertionError("unclassifiable subsystem")
+    return cartan_type([[coroot_pairing(rs, a, b) for b in simple] for a in simple])
 
 
 def enhanced_sl2_descriptor(rs: RootSystem, E, B) -> Sl2Descriptor:
@@ -540,27 +461,22 @@ class CensusEntry:
     weyl_classes: int  # number of Levi-Weyl classes of realizing B
 
 
-_CENSUS_CACHE: dict = {}
-
-
-def boundary_census(rs: RootSystem, i: int) -> list[CensusEntry]:
+@cache
+def boundary_census(rs: RootSystem, i: int) -> tuple[CensusEntry, ...]:
     """All boundary diamonds of the fundamental adjoint (rs, {i}).
 
     Enumerates every strongly orthogonal B in {beta : beta(S^i) = 1},
     groups by diamond, counts Levi-Weyl classes of B per diamond, and
     returns entries sorted by codimension.
     """
-    key = (rs.lie_type, i)
-    if key in _CENSUS_CACHE:
-        return _CENSUS_CACHE[key]
     _require_fundamental_adjoint(rs, i)
     E = grading_element_for(rs, {i})
     positives = rs.positive_roots
     p_vals = tuple(evaluate(b, E) for b in positives)
-    pair_rows = {
-        b: tuple(evaluate(a, rs.coroot_s_coords(b)) for a in positives)
-        for b in sos_candidates(rs, E)
-    }
+    pair_rows = {}
+    for b in sos_candidates(rs, E):
+        h = rs.coroot_s_coords(b)
+        pair_rows[b] = tuple(evaluate(a, h) for a in positives)
     by_diamond: dict = {}
     for B in iter_sos(rs, E):
         dia = _fast_diamond(rs, p_vals, [pair_rows[b] for b in B])
@@ -578,9 +494,8 @@ def boundary_census(rs: RootSystem, i: int) -> list[CensusEntry]:
                 weyl_classes=_count_weyl_classes(rs, i, bs),
             )
         )
-    entries.sort(key=lambda e: (e.invariants.codim, e.representative))
-    _CENSUS_CACHE[key] = entries
-    return entries
+    # a tuple: every caller shares the cached result
+    return tuple(sorted(entries, key=lambda e: (e.invariants.codim, e.representative)))
 
 
 def _fast_diamond(rs, p_vals, rows) -> HodgeDeligneDiamond:
@@ -613,18 +528,12 @@ def _count_weyl_classes(rs: RootSystem, i: int, sets) -> int:
         if ra != rb:
             parent[ra] = rb
 
-    reflections = []
     roots_seen = {b for B in sets for b in B}
-    for j in range(rs.rank):
-        if j == i - 1:
-            continue
-        table = {}
-        for b in roots_seen:
-            pair = sum(b[t] * rs.cartan[t][j] for t in range(rs.rank))
-            table[b] = tuple(
-                b[m] - pair * (1 if m == j else 0) for m in range(rs.rank)
-            )
-        reflections.append(table)
+    reflections = [
+        {b: rs.simple_reflection(b, j) for b in roots_seen}
+        for j in range(rs.rank)
+        if j != i - 1
+    ]
     for B in sets:
         k = index[frozenset(B)]
         for table in reflections:

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache
 from math import lcm
 
 from .errors import CompactRoot, NotARoot
@@ -226,8 +226,7 @@ class StructureConstants:
         r = rs.rank
         for a, ia in self.root_index.items():
             # [H^{alpha_j}, x^a] = a(H^{alpha_j}) x^a
-            for j in range(r):
-                pair = sum(a[t] * rs.cartan[t][j] for t in range(r))
+            for j, pair in enumerate(rs.pairings(a)):
                 if pair:
                     table[(j, ia)] = ((ia, pair),)
                     table[(ia, j)] = ((ia, -pair),)
@@ -240,9 +239,7 @@ class StructureConstants:
             table[(self.root_index[a], self.root_index[b])] = ((self.root_index[s], n),)
         self.bracket_table = table
         # Killing form closed-form data: B(H^i, H^j) = sum_g g(H^i) g(H^j)
-        simple_coroots = [
-            rs.coroot_s_coords(tuple(int(t == i) for t in range(r))) for i in range(r)
-        ]
+        simple_coroots = [rs.coroot_s_coords(a) for a in rs.simple_roots]
         values = [[evaluate(g, h) for h in simple_coroots] for g in roots]
         self.killing_h = tuple(
             tuple(sum(v[i] * v[j] for v in values) for j in range(r)) for i in range(r)
@@ -312,15 +309,9 @@ class StructureConstants:
         return total
 
 
-@lru_cache(maxsize=None)
-def _structure_constants_cached(lie_type) -> StructureConstants:
-    from .rootdata import build_root_system
-
-    return StructureConstants(build_root_system(lie_type))
-
-
+@cache
 def structure_constants(rs: RootSystem) -> StructureConstants:
-    return _structure_constants_cached(rs.lie_type)
+    return StructureConstants(rs)
 
 
 def adjoint_matrix(sc: StructureConstants, element: dict) -> list:
@@ -665,7 +656,7 @@ def _commutator(a, b):
     return _matsub(_matmul(a, b), _matmul(b, a))
 
 
-@lru_cache(maxsize=1)
+@cache
 def g2_seven_dim_rep() -> dict:
     """Weight-basis matrices of the full g2 Chevalley basis on V7.
 
@@ -679,7 +670,8 @@ def g2_seven_dim_rep() -> dict:
     sc = structure_constants(rs)
     weights = G2_V7_WEIGHTS
     w_index = {w: k for k, w in enumerate(weights)}
-    simples = ((1, 0), (0, 1))
+    simples = rs.simple_roots
+    pairings = [rs.pairings(w) for w in weights]
 
     # alpha_i strings through the weight diagram, top weight first
     def strings(i):
@@ -728,12 +720,7 @@ def g2_seven_dim_rep() -> dict:
             mats[sc.root_index[simples[i]]] = tuple(tuple(row) for row in up)
         for j in range(2):
             mats[j] = tuple(
-                tuple(
-                    Fraction(sum(weights[i][t] * rs.cartan[t][j] for t in range(2)))
-                    if i == jj
-                    else Fraction(0)
-                    for jj in range(7)
-                )
+                tuple(Fraction(pairings[i][j] if i == jj else 0) for jj in range(7))
                 for i in range(7)
             )
         # extend to the full basis with extraspecial decompositions

@@ -15,7 +15,7 @@ import click
 
 from . import cayley, grading, reps
 from .errors import HodgeOrbitError
-from .rootdata import LieType, build_root_system
+from .rootdata import POSITIVE_ROOT_COUNTS, LieType, build_root_system
 
 SCHEMA_VERSION = 1
 
@@ -35,11 +35,11 @@ TABLE_IDS = (
     "intro_hodge_numbers",
 )
 
-def _parse_type(type_str, rank):
+def _parse_type(type_str, rank) -> LieType:
     try:
         if rank is not None:
-            return build_root_system(LieType(type_str.upper(), rank))
-        return build_root_system(LieType.parse(type_str))
+            return LieType(type_str.upper(), rank)
+        return LieType.parse(type_str)
     except HodgeOrbitError as exc:
         raise click.BadParameter(str(exc))
 
@@ -72,7 +72,17 @@ def main(seed):
 @click.option("--format", "fmt", type=click.Choice(["tsv", "json"]), default="tsv")
 def roots(type_str, rank, count_only, fmt):
     """List the positive roots with coords, heights and lengths."""
-    rs = _parse_type(type_str, rank)
+    lie_type = _parse_type(type_str, rank)
+    payload = {
+        "schema_version": SCHEMA_VERSION,
+        "command": "roots",
+        "type": str(lie_type),
+        "count": POSITIVE_ROOT_COUNTS[lie_type.family](lie_type.rank),
+    }
+    if count_only:
+        click.echo(payload["count"] if fmt == "tsv" else json.dumps(payload, sort_keys=True))
+        return
+    rs = build_root_system(lie_type)
     long_d = max(rs.lengths)
     rows = [
         {
@@ -83,18 +93,8 @@ def roots(type_str, rank, count_only, fmt):
         for b in rs.positive_roots
     ]
     if fmt == "json":
-        payload = {
-            "schema_version": SCHEMA_VERSION,
-            "command": "roots",
-            "type": str(rs.lie_type),
-            "count": len(rows),
-        }
-        if not count_only:
-            payload["roots"] = rows
+        payload["roots"] = rows
         click.echo(json.dumps(payload, sort_keys=True))
-        return
-    if count_only:
-        click.echo(str(len(rows)))
         return
     click.echo("coords\theight\tlength")
     for r in rows:
@@ -118,7 +118,12 @@ def _diamond_json(dia):
 @click.option("--format", "fmt", type=click.Choice(["tsv", "json"]), default="tsv")
 def orbit(type_str, rank, node, chain, sos_str, fmt):
     """Boundary-orbit invariants (s, B, c, k, mu, type) for G/P_node."""
-    rs = _parse_type(type_str, rank)
+    lie_type = _parse_type(type_str, rank)
+    if not 1 <= node <= lie_type.rank:
+        raise click.BadParameter(
+            f"node {node} outside 1..{lie_type.rank}", param_hint="--node"
+        )
+    rs = build_root_system(lie_type)
     if (chain is None) == (sos_str is None):
         raise click.BadParameter("exactly one of --chain auto or --sos is required")
     B = None if sos_str is None else _parse_sos(sos_str)
@@ -264,10 +269,7 @@ def _table1():
     rows = []
     for name in ("A4", "B4", "C4", "D5", "E6", "E7", "E8", "F4", "G2"):
         rs = _rs(name)
-        fund = tuple(
-            sum(rs.highest_root[k] * rs.cartan[k][j] for k in range(rs.rank))
-            for j in range(rs.rank)
-        )
+        fund = rs.pairings(rs.highest_root)
         rows.append((name, _fmt_coords(rs.highest_root), _fmt_coords(fund)))
     return _tsv(("type", "highest_root", "fund_coords"), rows)
 
@@ -284,8 +286,8 @@ def _table5():
     rows = []
     for name, node in _ADJOINT_ALL:
         rs = _rs(name)
-        alpha_i = tuple(1 if k == node - 1 else 0 for k in range(rs.rank))
-        rows.append((name, node, _fmt_coords(rs.coroot_s_coords(alpha_i))))
+        h = rs.coroot_s_coords(rs.simple_roots[node - 1])
+        rows.append((name, node, _fmt_coords(h)))
     return _tsv(("type", "node", "H_in_S_coords"), rows)
 
 
@@ -293,7 +295,7 @@ def _table6():
     rows = []
     for name, node in _ADJOINT_ALL:
         rs = _rs(name)
-        alpha_i = tuple(1 if k == node - 1 else 0 for k in range(rs.rank))
+        alpha_i = rs.simple_roots[node - 1]
         E = grading.grading_element_for(rs, {node})
         dia = cayley.bigrading(rs, E, (alpha_i,))
         a, b = dia.dim(0, 1), dia.dim(0, 0)
@@ -306,7 +308,7 @@ def _table7():
     rows = []
     for name, node in _ADJOINT_ALL:
         rs = _rs(name)
-        alpha_i = tuple(1 if k == node - 1 else 0 for k in range(rs.rank))
+        alpha_i = rs.simple_roots[node - 1]
         E = grading.grading_element_for(rs, {node})
         d = cayley.enhanced_sl2_descriptor(rs, E, (alpha_i,))
         gamma = "+".join(str(t) for t in d.gamma_type)
@@ -450,7 +452,7 @@ def _figure3():
     rows = []
     for name, node in _ADJOINT_ALL:
         rs = _rs(name)
-        alpha_i = tuple(1 if k == node - 1 else 0 for k in range(rs.rank))
+        alpha_i = rs.simple_roots[node - 1]
         E = grading.grading_element_for(rs, {node})
         dia = cayley.bigrading(rs, E, (alpha_i,))
         for (p, q), dim in dia.entries:

@@ -78,11 +78,8 @@ def is_fundamental_adjoint(rs: RootSystem, I) -> bool:
         return False
     (i,) = I
     # highest_root = w_i means its simple-coroot pairings are delta_{i.}
-    fund = tuple(
-        sum(rs.highest_root[k] * rs.cartan[k][j] for k in range(rs.rank))
-        for j in range(rs.rank)
-    )
-    if fund != tuple(1 if j + 1 == i else 0 for j in range(rs.rank)):
+    delta_i = tuple(int(j == i - 1) for j in range(rs.rank))
+    if rs.pairings(rs.highest_root) != delta_i:
         return False
     # the defining property: highest_root - alpha_j is a root iff j = i
     if adjoint_index_set(rs) != I:

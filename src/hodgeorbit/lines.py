@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from .errors import NotDegreeOne, NotMaximalParabolic
 from .grading import evaluate, grading_element_for
 from .reps import weight_from_fund
-from .rootdata import LieType, RootSystem, build_root_system, coroot_pairing
+from .rootdata import RootSystem, cartan_type, coroot_pairing
 
 #: classical names for the C_o of the fundamental adjoint varieties
 CO_CLASSICAL_NAMES = {
@@ -32,78 +32,6 @@ CO_CLASSICAL_NAMES = {
     ("F4", 1): "LG(3,C6)",
     ("G2", 2): "v3(P1)",
 }
-
-
-def _component_split(rs: RootSystem, nodes):
-    """Connected components of the sub-diagram on ``nodes`` (1-based)."""
-    nodes = sorted(nodes)
-    seen, comps = set(), []
-    for start in nodes:
-        if start in seen:
-            continue
-        comp, stack = [], [start]
-        seen.add(start)
-        while stack:
-            v = stack.pop()
-            comp.append(v)
-            for w in nodes:
-                if w not in seen and rs.cartan[v - 1][w - 1] != 0:
-                    seen.add(w)
-                    stack.append(w)
-        comps.append(sorted(comp))
-    return comps
-
-
-def _classify_component(rs: RootSystem, comp) -> LieType:
-    """Lie type of a connected sub-diagram, by Cartan-matrix isomorphism."""
-    n = len(comp)
-    sub = [[rs.cartan[a - 1][b - 1] for b in comp] for a in comp]
-    # low-rank coincidences (D3 = A3, D2 = A1+A1 never arises connected)
-    # are reported under the first matching family in ABCDEFG order
-    for family in "ABCDEFG":
-        try:
-            cand = LieType(family, n)
-        except Exception:
-            continue
-        target = build_root_system(cand).cartan
-        if _cartan_isomorphic(sub, [list(row) for row in target]):
-            return cand
-    raise AssertionError(f"unclassifiable sub-diagram {comp}")
-
-
-def _cartan_isomorphic(a, b) -> bool:
-    n = len(a)
-    if len(b) != n:
-        return False
-
-    def profile(m, i):
-        return tuple(sorted(m[i][j] for j in range(n) if j != i))
-
-    pa = [profile(a, i) for i in range(n)]
-    pb = [profile(b, i) for i in range(n)]
-    if sorted(pa) != sorted(pb):
-        return False
-    assignment = [None] * n
-
-    def backtrack(i, used):
-        if i == n:
-            return True
-        for j in range(n):
-            if j in used or pa[i] != pb[j]:
-                continue
-            if any(
-                assignment[k] is not None
-                and (a[i][k] != b[j][assignment[k]] or a[k][i] != b[assignment[k]][j])
-                for k in range(i)
-            ):
-                continue
-            assignment[i] = j
-            if backtrack(i + 1, used | {j}):
-                return True
-            assignment[i] = None
-        return False
-
-    return backtrack(0, set())
 
 
 @dataclass(frozen=True)
@@ -139,10 +67,7 @@ def _descriptor_for(rs: RootSystem, i: int, deleted) -> FlagDescriptor:
     marked = frozenset(
         j for j in keep if rs.cartan[i - 1][j - 1] != 0 and j != i
     )
-    comps = _component_split(rs, keep)
-    types = tuple(
-        sorted((_classify_component(rs, c) for c in comps), key=str)
-    )
+    types = cartan_type([[rs.cartan[a - 1][b - 1] for b in keep] for a in keep])
     # dimension: positive roots of the sub-system with nonzero value on the
     # marked grading element; sub-system roots = roots supported on `keep`
     dim = 0
@@ -177,8 +102,7 @@ def co_components(rs: RootSystem, I) -> list[FlagDescriptor]:
 def cone_horizontal(rs: RootSystem, I) -> bool:
     """The swept cone X is horizontal iff alpha_i is not short."""
     i = _check_single(rs, I)
-    alpha_i = tuple(1 if k == i - 1 else 0 for k in range(rs.rank))
-    return rs.root_length(alpha_i) == max(rs.lengths)
+    return rs.root_length(rs.simple_roots[i - 1]) == max(rs.lengths)
 
 
 def co_membership_root_direction(rs: RootSystem, I, beta) -> bool:

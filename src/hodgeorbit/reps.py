@@ -71,11 +71,7 @@ def weight_from_fund(rs: RootSystem, fund) -> Weight:
 
 def weight_from_root(rs: RootSystem, root) -> Weight:
     root = tuple(Fraction(c) for c in root)
-    fund = tuple(
-        sum(root[i] * rs.cartan[i][j] for i in range(rs.rank))
-        for j in range(rs.rank)
-    )
-    return Weight(fund, root)
+    return Weight(rs.pairings(root), root)
 
 
 def fundamental_weights(rs: RootSystem) -> list[Weight]:
@@ -99,16 +95,12 @@ def dual_weight(rs: RootSystem, lam: Weight) -> Weight:
 
 def _make_dominant(rs: RootSystem, root_coords):
     """Dominant Weyl-chamber representative of a weight (root coordinates)."""
-    cur = list(root_coords)
+    cur = tuple(root_coords)
     while True:
-        fund = [
-            sum(cur[i] * rs.cartan[i][j] for i in range(rs.rank))
-            for j in range(rs.rank)
-        ]
-        j = next((j for j in range(rs.rank) if fund[j] < 0), None)
+        j = next((j for j, p in enumerate(rs.pairings(cur)) if p < 0), None)
         if j is None:
-            return tuple(cur)
-        cur[j] -= fund[j]
+            return cur
+        cur = rs.simple_reflection(cur, j)
 
 
 def _check_dominant_integral(lam: Weight):
@@ -208,10 +200,7 @@ def freudenthal_multiplicities(rs: RootSystem, lam: Weight, cap=None) -> WeightM
         nxt = []
         # descending depth is ascending root coordinates of mu
         for n in sorted(candidates, reverse=True):
-            mu_f = [
-                l - sum(n_i * row[j] for n_i, row in zip(n, rs.cartan) if n_i)
-                for j, l in enumerate(lam_f)
-            ]
+            mu_f = list(map(sub, lam_f, rs.pairings(n)))
             # (lam+rho)^2 - (mu+rho)^2 = (lam - mu, lam + mu + 2 rho)
             denom = sum(
                 n_i * d * (l + m + 2)
@@ -306,17 +295,10 @@ def embedding_degree_for_weight(rs: RootSystem, mu: Weight):
     return n, d
 
 
-_DEGREE_CACHE: dict = {}
-
-
 def embedding_degree(rs: RootSystem, I) -> tuple[int, int, int]:
     """(n, d, N) for the minimal embedding of G/P_I, mu = sum_{i in I} w_i."""
-    key = (rs.lie_type, frozenset(I))
-    if key in _DEGREE_CACHE:
-        return _DEGREE_CACHE[key]
     fund = tuple(1 if j + 1 in set(I) else 0 for j in range(rs.rank))
     mu = weight_from_fund(rs, fund)
     n, d = embedding_degree_for_weight(rs, mu)
     N = weyl_dimension(rs, mu) - 1
-    _DEGREE_CACHE[key] = (n, d, N)
     return n, d, N

@@ -3,15 +3,25 @@
 Everything here is deliberately written against the definitions rather than
 reusing the library's algorithms: weight multiplicities come from the Weyl
 character formula with an explicit Kostant partition count, Weyl groups are
-enumerated as orbits of a strictly dominant vector.  Definiteness is
-Sylvester's criterion with one determinant per leading minor, and the Jacobi
-sum is taken through dict brackets.
+enumerated as orbits of a strictly dominant vector, and roots are closed
+under simple reflections with dense pairings against the Cartan matrix.
+Definiteness is Sylvester's criterion with one determinant per leading
+minor, and the Jacobi sum is taken through dict brackets.
 """
 
 from fractions import Fraction
 
 from hodgeorbit.reps import rho, weight_from_fund
-from hodgeorbit.rootdata import RootSystem
+from hodgeorbit.rootdata import RANK_BOUNDS, LieType, RootSystem, _cartan_data
+
+
+def lie_types_up_to(max_rank):
+    """Every simple type of rank <= max_rank, family by family."""
+    return [
+        LieType(family, r)
+        for family, (lo, hi) in RANK_BOUNDS.items()
+        for r in range(lo, min(max_rank, hi or max_rank) + 1)
+    ]
 
 
 def weyl_orbit_with_signs(rs: RootSystem, start):
@@ -39,6 +49,33 @@ def weyl_orbit_with_signs(rs: RootSystem, start):
                     nxt.append(img)
         frontier = nxt
     return out
+
+
+def dense_root_closure(lie_type):
+    """(roots, positive roots by (height, coords)) by dense reflection closure.
+
+    Every simple reflection of every root pairs against a whole Cartan column
+    and rebuilds the whole vector, O(|roots| r^2), with none of the library's
+    sparse Weyl action.
+    """
+    cartan, _ = _cartan_data(lie_type)
+    r = lie_type.rank
+    simples = [tuple(1 if j == i else 0 for j in range(r)) for i in range(r)]
+    roots = set(simples)
+    frontier = list(simples)
+    while frontier:
+        nxt = []
+        for beta in frontier:
+            for j in range(r):
+                pair = sum(beta[i] * cartan[i][j] for i in range(r))
+                img = tuple(beta[k] - pair * (1 if k == j else 0) for k in range(r))
+                if img not in roots:
+                    roots.add(img)
+                    nxt.append(img)
+        frontier = nxt
+    roots |= {tuple(-c for c in beta) for beta in roots}
+    positives = sorted((b for b in roots if sum(b) > 0), key=lambda b: (sum(b), b))
+    return frozenset(roots), tuple(positives)
 
 
 class KostantPartition:

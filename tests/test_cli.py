@@ -7,7 +7,9 @@ import jsonschema
 import pytest
 from click.testing import CliRunner
 
+from helpers import lie_types_up_to
 from hodgeorbit.cli import TABLE_IDS, main, render_table
+from hodgeorbit.rootdata import root_system
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "..", "golden")
 
@@ -44,6 +46,27 @@ def test_roots_family_plus_rank():
     res = _run(["roots", "--type", "B", "--rank", "3", "--count-only"])
     assert res.exit_code == 0
     assert res.output.strip() == "9"
+
+
+def test_roots_count_only_a1000_is_closed_form():
+    res = _run(["roots", "--type", "A1000", "--count-only"])
+    assert res.exit_code == 0
+    assert res.output == "500500\n"
+    res = _run(["roots", "--type", "A", "--rank", "1000", "--count-only", "--format", "json"])
+    assert res.exit_code == 0
+    assert json.loads(res.output)["count"] == 500500
+    assert _run(["roots", "--type", "D3", "--count-only"]).exit_code == 2
+
+
+def test_roots_count_only_matches_built_roots():
+    for lie_type in lie_types_up_to(8):
+        name = str(lie_type)
+        count = len(root_system(name).positive_roots)
+        assert _run(["roots", "--type", name, "--count-only"]).output == f"{count}\n"
+        full = json.loads(_run(["roots", "--type", name, "--format", "json"]).output)
+        assert full.pop("roots") and full["count"] == count
+        res = _run(["roots", "--type", name, "--count-only", "--format", "json"])
+        assert res.output == json.dumps(full, sort_keys=True) + "\n"
 
 
 def test_roots_bad_type_exit_2():
@@ -92,6 +115,17 @@ def test_orbit_invalid_sos_exit_3():
     # census requires a fundamental adjoint node
     res = _run(["orbit", "--type", "C3", "--node", "1", "--chain", "auto"])
     assert res.exit_code == 3
+
+
+@pytest.mark.parametrize("mode", [["--chain", "auto"], ["--sos", "1,0,0"]])
+@pytest.mark.parametrize("node", ["0", "9", "-1"])
+def test_orbit_node_outside_diagram_exit_2(node, mode):
+    res = _run(["orbit", "--type", "B3", "--node", node, *mode])
+    assert res.exit_code == 2
+    assert "Traceback" not in res.output
+    errors = [line for line in res.output.splitlines() if line.startswith("Error:")]
+    assert len(errors) == 1
+    assert "--node" in errors[0] and f"node {node} outside 1..3" in errors[0]
 
 
 def test_orbit_requires_exactly_one_mode():

@@ -6,6 +6,7 @@ import pytest
 from helpers import (
     KostantPartition,
     dominant_weights_with_dim_at_most,
+    lie_types_up_to,
     multiplicity_by_weyl_character,
     weyl_dimension_by_bilinear,
     weyl_orbit_with_signs,
@@ -262,3 +263,29 @@ def test_degree_self_checks():
     a1 = root_system("A1")
     n, d = embedding_degree_for_weight(a1, weight_from_fund(a1, (2,)))
     assert (n, d) == (1, 2)
+
+
+def _minus_w0(lie_type):
+    """The diagram automorphism -w_0 on nodes 1..r."""
+    f, r = lie_type.family, lie_type.rank
+    if f == "A":
+        return {i: r + 1 - i for i in range(1, r + 1)}
+    perm = {i: i for i in range(1, r + 1)}
+    if (f, r) == ("E", 6):
+        perm.update({1: 6, 6: 1, 3: 5, 5: 3})
+    if f == "D" and r % 2:
+        perm.update({r - 1: r, r: r - 1})
+    return perm
+
+
+def test_dual_weight_is_minus_w0():
+    rng = random.Random(94)
+    for lie_type in lie_types_up_to(8):
+        rs = root_system(str(lie_type))
+        perm = _minus_w0(lie_type)
+        for _ in range(3):
+            fund = tuple(rng.randint(0, 2) for _ in range(rs.rank))
+            dual = dual_weight(rs, weight_from_fund(rs, fund))
+            # -w_0 sends c_i w_i to c_i w_{perm[i]}, and perm is an involution
+            expected = tuple(fund[perm[j] - 1] for j in range(1, rs.rank + 1))
+            assert dual.fund_coords == expected

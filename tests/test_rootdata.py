@@ -1,13 +1,19 @@
+import random
 from fractions import Fraction
 
 import pytest
+from helpers import dense_root_closure, lie_types_up_to, weyl_orbit_with_signs
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hodgeorbit.errors import InvalidRank, NotARoot, NotStronglyOrthogonal
+from hodgeorbit.reps import rho
 from hodgeorbit.rootdata import (
     LieType,
     POSITIVE_ROOT_COUNTS,
+    RootSystem,
+    _cartan_data,
+    cartan_type,
     conjugate_root,
     coroot_pairing,
     reflect,
@@ -183,3 +189,104 @@ def test_strongly_orthogonal_pairs():
     g2 = root_system("G2")
     assert strongly_orthogonal(g2, (0, 1), (2, 1))
     assert not strongly_orthogonal(g2, (0, 1), (3, 1))
+
+
+# -- the Weyl-action primitive ------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "lie_type",
+    lie_types_up_to(12) + [LieType.parse(n) for n in ("A30", "B24", "D26")],
+    ids=str,
+)
+def test_roots_match_dense_closure(lie_type):
+    roots, positives = dense_root_closure(lie_type)
+    rs = RootSystem(lie_type)
+    assert rs.roots == roots
+    assert rs.positive_roots == positives
+
+
+def test_pairings_of_simple_roots_are_cartan_rows():
+    for name in ALL_TYPES:
+        rs = root_system(name)
+        assert tuple(rs.pairings(a) for a in rs.simple_roots) == rs.cartan
+
+
+def test_simple_reflection_against_general_reflection():
+    for name in ALL_TYPES:
+        rs = root_system(name)
+        for beta in rs.roots:
+            for j, pair in enumerate(rs.pairings(beta)):
+                image = rs.simple_reflection(beta, j)
+                if pair == 0:
+                    assert image is beta
+                else:
+                    assert image == reflect(rs, rs.simple_roots[j], beta)
+                    assert rs.simple_reflection(image, j) == beta
+
+
+@pytest.mark.parametrize(
+    "name, order",
+    [("A3", 24), ("B3", 48), ("C3", 48), ("D4", 192), ("F4", 1152), ("G2", 12)],
+)
+def test_weyl_orbit_of_rho_is_the_weyl_group(name, order):
+    # rho has Fraction coordinates in types B, C, D and F
+    rs = root_system(name)
+    start = rho(rs).root_coords
+    tree = rs.weyl_orbit([start])
+    assert len(tree) == order
+    assert tree.keys() == weyl_orbit_with_signs(rs, start).keys()
+    assert tree[start] is None
+    for vec, step in tree.items():
+        if step is not None:
+            parent, j = step
+            assert rs.simple_reflection(parent, j) == vec
+
+
+def test_weyl_orbit_on_levi_nodes():
+    # without node 2, alpha_2 moves through the roots with coefficient 1 there
+    rs = root_system("A3")
+    tree = rs.weyl_orbit([rs.simple_roots[1]], [0, 2])
+    assert set(tree) == {b for b in rs.roots if b[1] == 1}
+    assert set(rs.weyl_orbit(rs.simple_roots)) == rs.roots
+
+
+# -- the Cartan classifier -----------------------------------------------------
+
+
+def _relabel(matrix, perm):
+    return [[matrix[a][b] for b in perm] for a in perm]
+
+
+def _named(lie_type):
+    # B2 and C2 share a Cartan matrix up to relabelling; B2 is reported
+    return LieType("B", 2) if lie_type == LieType("C", 2) else lie_type
+
+
+def test_cartan_type_recovers_every_type_under_relabelling():
+    rng = random.Random(4507)
+    for lie_type in lie_types_up_to(8):
+        cartan, _ = _cartan_data(lie_type)
+        for _ in range(4):
+            perm = list(range(lie_type.rank))
+            rng.shuffle(perm)
+            assert cartan_type(_relabel(cartan, perm)) == (_named(lie_type),)
+
+
+def test_cartan_type_splits_block_sums():
+    rng = random.Random(1407)
+    pool = lie_types_up_to(6)
+    assert cartan_type([]) == ()
+    for _ in range(40):
+        parts = rng.sample(pool, rng.randint(2, 4))
+        n = sum(t.rank for t in parts)
+        matrix = [[0] * n for _ in range(n)]
+        offset = 0
+        for t in parts:
+            for i, row in enumerate(_cartan_data(t)[0]):
+                matrix[offset + i][offset:offset + t.rank] = row
+            offset += t.rank
+        perm = list(range(n))
+        rng.shuffle(perm)
+        expected = tuple(sorted(map(_named, parts), key=str))
+        assert cartan_type(_relabel(matrix, perm)) == expected
