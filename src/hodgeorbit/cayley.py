@@ -150,7 +150,6 @@ def real_rank(rs: RootSystem, E) -> int:
                 adj[j] |= 1 << i
     # order by descending degree for better pruning
     order = sorted(range(n), key=lambda i: -bin(adj[i]).count("1"))
-    remap = {old: new for new, old in enumerate(order)}
     radj = [0] * n
     for i in range(n):
         for j in range(n):
@@ -405,14 +404,7 @@ def gamma_subsystem(rs: RootSystem, B) -> list:
     out = []
     for beta in rs.positive_roots:
         for alpha in (beta, tuple(-c for c in beta)):
-            ok = True
-            for b in B:
-                s = tuple(x + y for x, y in zip(alpha, b))
-                d = tuple(x - y for x, y in zip(alpha, b))
-                if rs.is_root(s) or rs.is_root(d) or coroot_pairing(rs, alpha, b) != 0:
-                    ok = False
-                    break
-            if ok:
+            if all(strongly_orthogonal(rs, alpha, b) for b in B):
                 out.append(alpha)
     return out
 
@@ -466,8 +458,11 @@ def boundary_census(rs: RootSystem, i: int) -> tuple[CensusEntry, ...]:
     """All boundary diamonds of the fundamental adjoint (rs, {i}).
 
     Enumerates every strongly orthogonal B in {beta : beta(S^i) = 1},
-    groups by diamond, counts Levi-Weyl classes of B per diamond, and
-    returns entries sorted by codimension.
+    labels each B with its Levi-Weyl class, computes the diamond of each
+    class once, and returns one entry per diamond sorted by codimension.
+    This is exact: a Levi reflection s_j (j != i) fixes E, and alpha ->
+    s_j(alpha) keeps alpha(E) and alpha(H^b) = s_j(alpha)(H^{s_j b}), so it
+    maps the roots counted in h^{p,q} of B onto those of s_j(B).
     """
     _require_fundamental_adjoint(rs, i)
     E = grading_element_for(rs, {i})
@@ -477,21 +472,25 @@ def boundary_census(rs: RootSystem, i: int) -> tuple[CensusEntry, ...]:
     for b in sos_candidates(rs, E):
         h = rs.coroot_s_coords(b)
         pair_rows[b] = tuple(evaluate(a, h) for a in positives)
-    by_diamond: dict = {}
-    for B in iter_sos(rs, E):
-        dia = _fast_diamond(rs, p_vals, [pair_rows[b] for b in B])
-        by_diamond.setdefault(dia, []).append(B)
+    sets = list(iter_sos(rs, E))
+    labels = _levi_weyl_classes(rs, i, sets)
+    by_diamond: dict = {}  # diamond -> first set of each class, in iter_sos order
+    for k, B in enumerate(sets):
+        if labels[k] == k:
+            dia = _fast_diamond(rs, p_vals, [pair_rows[b] for b in B])
+            by_diamond.setdefault(dia, []).append(B)
     entries = []
-    for dia, bs in by_diamond.items():
+    for dia, firsts in by_diamond.items():
         _check_diamond(rs, dia)
         inv = _invariants_from_diamond(rs, dia)
         entries.append(
             CensusEntry(
-                representative=bs[0],
-                sizes=tuple(sorted({len(b) for b in bs})),
+                representative=firsts[0],
+                # conjugate sets have equal size, so the classes give every size
+                sizes=tuple(sorted({len(b) for b in firsts})),
                 invariants=inv,
                 diamond=dia,
-                weyl_classes=_count_weyl_classes(rs, i, bs),
+                weyl_classes=len(firsts),
             )
         )
     # a tuple: every caller shares the cached result
@@ -512,33 +511,29 @@ def _fast_diamond(rs, p_vals, rows) -> HodgeDeligneDiamond:
     return HodgeDeligneDiamond(tuple(sorted(counts.items())), rs.rank)
 
 
-def _count_weyl_classes(rs: RootSystem, i: int, sets) -> int:
-    """Number of orbits of the B-sets under the Levi Weyl group W(g^0)."""
-    index = {frozenset(B): k for k, B in enumerate(sets)}
-    parent = list(range(len(sets)))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-
-    roots_seen = {b for B in sets for b in B}
+def _levi_weyl_classes(rs: RootSystem, i: int, sets) -> list[int]:
+    """Label each B-set with its W(g^0)-orbit: the index in ``sets`` of the
+    orbit's first member.  Sets are keyed by the bitmask of their roots."""
+    bit = {b: 1 << k for k, b in enumerate({b for B in sets for b in B})}
+    index = {sum(bit[b] for b in B): k for k, B in enumerate(sets)}
     reflections = [
-        {b: rs.simple_reflection(b, j) for b in roots_seen}
+        {b: bit[rs.simple_reflection(b, j)] for b in bit}
         for j in range(rs.rank)
         if j != i - 1
     ]
-    for B in sets:
-        k = index[frozenset(B)]
-        for table in reflections:
-            img = frozenset(table[b] for b in B)
-            # a Levi reflection preserves both the E-value and strong
-            # orthogonality, so the image is again in the collection
-            union(k, index[img])
-    return len({find(k) for k in range(len(sets))})
+    labels = [-1] * len(sets)
+    for first in range(len(sets)):
+        if labels[first] >= 0:
+            continue
+        labels[first] = first
+        stack = [sets[first]]
+        while stack:
+            B = stack.pop()
+            for table in reflections:
+                # a Levi reflection preserves both the E-value and strong
+                # orthogonality, so the image is again in the collection
+                k = index[sum(table[b] for b in B)]
+                if labels[k] < 0:
+                    labels[k] = first
+                    stack.append(sets[k])
+    return labels

@@ -325,8 +325,6 @@ def adjoint_matrix(sc: StructureConstants, element: dict) -> list:
     return mat
 
 
-
-
 def jacobi_residual(sc: StructureConstants, i: int, j: int, k: int) -> dict:
     """[x_i,[x_j,x_k]] + [x_j,[x_k,x_i]] + [x_k,[x_i,x_j]] on basis indices."""
     table = sc.bracket_table
@@ -506,12 +504,26 @@ def _verify_rational_form(sc: StructureConstants, basis: RationalFormBasis):
             raise AssertionError("theta has the wrong sign on a block")
     # Killing form: negative definite on k_Z, positive definite on k_Z^perp
     for block, sign in ((0, -1), (1, 1)):
-        vecs = [vec for p, vec in members if p == block]
-        gram = [
-            [_real_of(sc.killing(a, b)) for b in vecs] for a in vecs
-        ]
+        gram = _killing_gram(sc, [vec for p, vec in members if p == block])
         if not _definite(gram, sign):
             raise AssertionError("Killing form has the wrong signature")
+
+
+def _killing_gram(sc: StructureConstants, vecs) -> list:
+    """The Gram matrix of B on ``vecs``.  B(x^a, x^b) = 0 unless b = -a and
+    B(H, x^a) = 0, so only vectors sharing the Cartan part or a support
+    +-beta are paired; every other entry is the exact 0."""
+    r, npos = sc.rs.rank, len(sc.rs.positive_roots)
+    gram = [[Fraction(0)] * len(vecs) for _ in vecs]
+    sharing: dict = {}  # -1 for the Cartan part, m for +-beta_m -> members
+    for a, vec in enumerate(vecs):
+        for part in {-1 if k < r else (k - r) % npos for k in vec}:
+            sharing.setdefault(part, []).append(a)
+    for group in sharing.values():
+        for a in group:
+            for b in group:
+                gram[a][b] = _real_of(sc.killing(vecs[a], vecs[b]))
+    return gram
 
 
 def _real_of(value):

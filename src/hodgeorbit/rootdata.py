@@ -4,7 +4,9 @@ Roots are stored densely as integer coordinate vectors in the basis of simple
 roots (Bourbaki numbering).  All pairings are computed from the Cartan matrix
 ``A[i][j] = alpha_i(H^{alpha_j})`` and the half-square-lengths ``d_j`` with
 ``(alpha_j, alpha_j) = 2 d_j``; the overall scale of ``d`` is irrelevant
-because every exposed quantity is a ratio.
+because every exposed quantity is a ratio.  No dense matrix of the form is
+kept: ``(x, alpha_j) = d_j <x, alpha_j^vee>``, so ``bilinear``, root lengths
+and coroots go through the sparse Cartan columns below.
 
 The Weyl group acts through one primitive on ``RootSystem``.  Each column j
 of the Cartan matrix is stored as its nonzero entries, at most four, so
@@ -211,11 +213,6 @@ class RootSystem:
         self.lie_type = lie_type
         self.rank = r = lie_type.rank
         self.cartan, self.lengths = _cartan_data(lie_type)
-        # symmetric bilinear form on the root lattice: (alpha_i, alpha_j)
-        self.sym = tuple(
-            tuple(self.lengths[j] * self.cartan[i][j] for j in range(r))
-            for i in range(r)
-        )
         # column j as its nonzero entries (i, A[i][j]): alpha_j, its neighbours
         self._columns = tuple(
             tuple((i, row[j]) for i, row in enumerate(self.cartan) if row[j])
@@ -329,12 +326,12 @@ class RootSystem:
         return sum(beta)
 
     def bilinear(self, x, y):
-        """(x, y) for vectors in simple-root coordinates (rationals allowed)."""
+        """(x, y) = sum_j y_j d_j <x, alpha_j^vee> for vectors in simple-root
+        coordinates (rationals allowed); each j with y_j = 0 is skipped."""
         return sum(
-            x[i] * self.sym[i][j] * y[j]
-            for i in range(self.rank)
-            for j in range(self.rank)
-            if x[i] and y[j]
+            yj * d * sum(x[i] * a for i, a in col)
+            for yj, d, col in zip(y, self.lengths, self._columns)
+            if yj
         )
 
     def root_length(self, alpha) -> int:
@@ -345,28 +342,25 @@ class RootSystem:
             raise AssertionError("odd root norm")
         return two_d // 2
 
-    def is_long(self, alpha) -> bool:
-        return self.root_length(alpha) == max(self.lengths)
-
     def coroot(self, alpha) -> Coords:
         """H^alpha as an integer vector in the basis H^{alpha_1}..H^{alpha_r}."""
-        alpha = self.check_root(alpha)
-        d_a = self.root_length(alpha)
-        out = []
-        for j in range(self.rank):
-            num = alpha[j] * self.lengths[j]
-            if num % d_a:
-                raise AssertionError("coroot not integral")
-            out.append(num // d_a)
-        return tuple(out)
+        return _exact_coords(
+            [a * d for a, d in zip(alpha, self.lengths)], self.root_length(alpha)
+        )
 
     def coroot_s_coords(self, alpha) -> Coords:
-        """H^alpha written in the dual basis S^1..S^r (i.e. alpha_k(H^alpha))."""
-        h = self.coroot(alpha)
-        return tuple(
-            sum(self.cartan[k][j] * h[j] for j in range(self.rank))
-            for k in range(self.rank)
+        """H^alpha written in the dual basis S^1..S^r, i.e.
+        alpha_k(H^alpha) = d_k <alpha, alpha_k^vee> / d_alpha."""
+        d_a = self.root_length(alpha)
+        return _exact_coords(
+            [d * pair for d, pair in zip(self.lengths, self.pairings(alpha))], d_a
         )
+
+
+def _exact_coords(nums, den) -> Coords:
+    if any(x % den for x in nums):
+        raise AssertionError("coroot not integral")
+    return tuple(x // den for x in nums)
 
 
 @cache

@@ -5,12 +5,23 @@ reusing the library's algorithms: weight multiplicities come from the Weyl
 character formula with an explicit Kostant partition count, Weyl groups are
 enumerated as orbits of a strictly dominant vector, and roots are closed
 under simple reflections with dense pairings against the Cartan matrix.
-Definiteness is Sylvester's criterion with one determinant per leading
-minor, and the Jacobi sum is taken through dict brackets.
+The root-lattice form is the dense r x r matrix d_j A[i][j].  Definiteness
+is Sylvester's criterion with one determinant per leading minor, and the
+Jacobi sum is taken through dict brackets.  The boundary census is the
+per-set path: one diamond for every strongly orthogonal set.
 """
 
 from fractions import Fraction
 
+from hodgeorbit.cayley import (
+    CensusEntry,
+    _check_diamond,
+    _fast_diamond,
+    _invariants_from_diamond,
+    iter_sos,
+    sos_candidates,
+)
+from hodgeorbit.grading import evaluate, grading_element_for
 from hodgeorbit.reps import rho, weight_from_fund
 from hodgeorbit.rootdata import RANK_BOUNDS, LieType, RootSystem, _cartan_data
 
@@ -127,19 +138,91 @@ def multiplicity_by_weyl_character(rs: RootSystem, lam, mu, orbit=None, kostant=
     return total
 
 
+def bilinear_by_sym(rs: RootSystem, x, y):
+    """(x, y) = sum_{i,j} x_i (alpha_i, alpha_j) y_j with the dense matrix
+    (alpha_i, alpha_j) = d_j A[i][j], where the library goes through the
+    sparse Cartan columns."""
+    r = rs.rank
+    sym = [[rs.lengths[j] * rs.cartan[i][j] for j in range(r)] for i in range(r)]
+    return sum(x[i] * sym[i][j] * y[j] for i in range(r) for j in range(r))
+
+
+def coroot_s_coords_by_sym(rs: RootSystem, alpha):
+    """alpha_k(H^alpha) = 2 (alpha_k, alpha) / (alpha, alpha) for every k."""
+    norm = bilinear_by_sym(rs, alpha, alpha)
+    return tuple(
+        Fraction(2 * bilinear_by_sym(rs, simple, alpha), norm)
+        for simple in rs.simple_roots
+    )
+
+
 def weyl_dimension_by_bilinear(rs: RootSystem, lam):
     """prod_{alpha>0} (lam+rho, alpha) / (rho, alpha) in Fraction arithmetic.
 
-    Pairs root coordinates through ``rs.bilinear``, where the library pairs
-    fundamental-weight coordinates with scaled roots.
+    Pairs root coordinates through ``bilinear_by_sym``, where the library
+    pairs fundamental-weight coordinates with scaled roots.
     """
     rho_c = rho(rs).root_coords
     lam_rho = tuple(a + b for a, b in zip(lam.root_coords, rho_c))
     num = Fraction(1)
     for alpha in rs.positive_roots:
-        num *= Fraction(rs.bilinear(lam_rho, alpha), rs.bilinear(rho_c, alpha))
+        num *= Fraction(
+            bilinear_by_sym(rs, lam_rho, alpha), bilinear_by_sym(rs, rho_c, alpha)
+        )
     assert num.denominator == 1
     return int(num)
+
+
+def census_by_sets(rs: RootSystem, i):
+    """The boundary census with one diamond per strongly orthogonal set.
+
+    Every set from ``iter_sos`` gets its own diamond; the sets are grouped by
+    diamond and the Levi-Weyl classes are counted within each group, each
+    set joined to its images under the simple reflections s_j, j != i.
+    """
+    E = grading_element_for(rs, {i})
+    p_vals = tuple(evaluate(b, E) for b in rs.positive_roots)
+    pair_rows = {}
+    for b in sos_candidates(rs, E):
+        h = [int(c) for c in coroot_s_coords_by_sym(rs, b)]
+        pair_rows[b] = tuple(evaluate(a, h) for a in rs.positive_roots)
+    by_diamond = {}
+    for B in iter_sos(rs, E):
+        dia = _fast_diamond(rs, p_vals, [pair_rows[b] for b in B])
+        by_diamond.setdefault(dia, []).append(B)
+    entries = []
+    for dia, sets in by_diamond.items():
+        _check_diamond(rs, dia)
+        entries.append(
+            CensusEntry(
+                representative=sets[0],
+                sizes=tuple(sorted({len(B) for B in sets})),
+                invariants=_invariants_from_diamond(rs, dia),
+                diamond=dia,
+                weyl_classes=_count_classes(rs, i, sets),
+            )
+        )
+    return tuple(sorted(entries, key=lambda e: (e.invariants.codim, e.representative)))
+
+
+def _count_classes(rs: RootSystem, i, sets):
+    index = {frozenset(B): k for k, B in enumerate(sets)}
+    parent = list(range(len(sets)))
+
+    def find(a):
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    for k, B in enumerate(sets):
+        for j in range(rs.rank):
+            if j != i - 1:
+                img = frozenset(rs.simple_reflection(b, j) for b in B)
+                ra, rb = find(k), find(index[img])
+                if ra != rb:
+                    parent[ra] = rb
+    return len({find(k) for k in range(len(sets))})
 
 
 def dominant_weights_with_dim_at_most(rs: RootSystem, bound):

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from helpers import census_by_sets, lie_types_up_to
 
 from hodgeorbit.cayley import (
     bigrading,
@@ -20,7 +21,7 @@ from hodgeorbit.cayley import (
     weyl_flip,
 )
 from hodgeorbit.errors import InvalidSOS, NotFundamentalAdjoint
-from hodgeorbit.grading import grading_element_for
+from hodgeorbit.grading import grading_element_for, is_fundamental_adjoint
 from hodgeorbit.reps import fundamental_weights, weight_from_root
 from hodgeorbit.rootdata import conjugate_root, root_system
 
@@ -313,6 +314,21 @@ def test_boundary_census_figure2_counts():
                       ("E7", 1): 4, ("E8", 8): 4, ("B4", 2): 5, ("D5", 2): 5}
     for (name, i), count in expected_nodes.items():
         assert len(boundary_census(root_system(name), i)) == count
+
+
+CENSUS_ORACLE_CASES = [
+    (str(t), i)
+    for t in lie_types_up_to(8)
+    for i in range(1, t.rank + 1)
+    if is_fundamental_adjoint(root_system(str(t)), {i})
+] + [("B10", 2), ("D12", 2)]
+
+
+@pytest.mark.parametrize("name, i", CENSUS_ORACLE_CASES)
+def test_boundary_census_matches_per_set_oracle(name, i):
+    # one diamond per Levi-Weyl class against one diamond per set
+    rs = root_system(name)
+    assert boundary_census(rs, i) == census_by_sets(rs, i)
 
 
 def test_boundary_census_rejects_non_adjoint():

@@ -22,7 +22,12 @@ from hodgeorbit.chevalley import (
     structure_constants,
     theta,
 )
-from hodgeorbit.chevalley import _definite, _real_of, _verify_rational_form
+from hodgeorbit.chevalley import (
+    _definite,
+    _killing_gram,
+    _real_of,
+    _verify_rational_form,
+)
 from hodgeorbit.errors import CompactRoot
 from hodgeorbit.grading import evaluate
 from hodgeorbit.rootdata import root_system
@@ -210,6 +215,34 @@ def test_definite_rejects_negated_compact_gram():
     assert _definite(gram, -1)
     assert not _definite([[-x for x in row] for row in gram], -1)
     assert not _definite(gram, 1)
+
+
+#: the types of the chevalley_forms benchmark workload, plus E6
+KILLING_GRAM_TYPES = ("G2", "B3", "C3", "A4", "B4", "C4", "D4", "D5", "F4", "E6")
+
+
+@pytest.mark.parametrize("name", KILLING_GRAM_TYPES)
+def test_sparse_killing_gram_matches_dense(name):
+    sc = _sc(name)
+    rs = sc.rs
+    rng = random.Random(f"gram-{name}")
+    T = tuple(rng.randint(0, 1) for _ in range(rs.rank - 1)) + (1,)
+    rf = rational_form(sc, T)
+    members = list(rf.h) + [w for beta in rf.parity for w in (rf.u[beta], rf.v[beta])]
+    # vectors spread over several supports, and the Cartan part among roots
+    mixed = []
+    for _ in range(6):
+        a, b = rng.sample(members, 2)
+        mixed.append({k: a.get(k, 0) + b.get(k, 0) for k in a.keys() | b.keys()})
+    vecs = members + mixed
+    rng.shuffle(vecs)
+    dense = [[_real_of(sc.killing(a, b)) for b in vecs] for a in vecs]
+    assert _killing_gram(sc, vecs) == dense
+    for block in (0, 1):
+        vecs = [w for beta, p in rf.parity.items() if p == block
+                for w in (rf.u[beta], rf.v[beta])] + (list(rf.h) if block == 0 else [])
+        dense = [[_real_of(sc.killing(a, b)) for b in vecs] for a in vecs]
+        assert _killing_gram(sc, vecs) == dense
 
 
 def _symmetric_samples(rng):

@@ -2,14 +2,17 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 
 import jsonschema
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import lie_types_up_to
-from hodgeorbit.cli import TABLE_IDS, main, render_table
-from hodgeorbit.rootdata import root_system
+from hodgeorbit.cli import MAX_BUILD_RANK, TABLE_IDS, main, render_table
+from hodgeorbit.rootdata import build_root_system, root_system
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "..", "golden")
 
@@ -254,3 +257,93 @@ def test_validate_sos_repeated_root_is_one_violation():
     E = grading.grading_element_for(rs, {2})
     assert cayley.validate_sos(rs, E, [(0, 1, 0), (0, 1, 0)]) == ["repeated root"]
     assert cayley.validate_sos(rs, E, [(0, 1, 0), (1, 1, 0)]) != []
+
+
+def test_rank_cap_exit_2_before_building():
+    over = MAX_BUILD_RANK + 1
+    misses = build_root_system.cache_info().misses
+    for argv in (
+        ["roots", "--type", "A", "--rank", str(over)],
+        ["roots", "--type", f"D{over}", "--format", "json"],
+        ["orbit", "--type", "B", "--rank", str(over), "--node", "2", "--chain", "auto"],
+        ["orbit", "--type", f"D{over}", "--node", "2", "--sos", "0,1"],
+    ):
+        res = _run(argv)
+        assert res.exit_code == 2
+        assert "Traceback" not in res.output
+        assert f"rank {over} is above the cap {MAX_BUILD_RANK}" in res.output
+    assert build_root_system.cache_info().misses == misses
+    res = _run(["roots", "--type", "A", "--rank", str(over), "--count-only"])
+    assert res.output == f"{over * (over + 1) // 2}\n"
+
+
+def test_rank_cap_is_inclusive():
+    res = _run(["roots", "--type", "A", "--rank", str(MAX_BUILD_RANK), "--count-only"])
+    count = int(res.output)
+    res = _run(["roots", "--type", "A", "--rank", str(MAX_BUILD_RANK), "--format", "json"])
+    assert res.exit_code == 0
+    assert len(json.loads(res.output)["roots"]) == count
+
+
+#: every valid type the fuzz test builds; larger ones are above the build cap
+_SMALL_TYPES = lie_types_up_to(8)
+
+
+@st.composite
+def _type_args(draw):
+    """(argv, rank): mostly a valid type of rank <= 8, else a bad family, a
+    bad rank or a rank above the build cap."""
+    kind = draw(st.sampled_from(["valid", "valid", "valid", "bad", "big"]))
+    if kind == "valid":
+        lie_type = draw(st.sampled_from(_SMALL_TYPES))
+        family, rank = lie_type.family, lie_type.rank
+    else:
+        family = draw(st.sampled_from(["A", "B", "D", "E", "g", "Z", ""]))
+        # bounded just above the cap, so a broken cap costs seconds, not memory
+        rank = draw(st.integers(-2, 9) if kind == "bad"
+                    else st.integers(MAX_BUILD_RANK + 1, MAX_BUILD_RANK + 4))
+    if draw(st.booleans()):
+        return ["--type", family, "--rank", str(rank)], rank
+    return ["--type", f"{family}{rank}"], rank
+
+
+_FORMAT = st.sampled_from([[], ["--format", "json"], ["--format", "tsv"], ["--format", "xml"]])
+
+
+@st.composite
+def _sos_text(draw, rank, node):
+    """Mostly the simple root alpha_node, a valid B, else arbitrary text over
+    the characters of the syntax."""
+    if draw(st.booleans()) and 1 <= node <= rank <= 8:
+        return ",".join("1" if k == node - 1 else "0" for k in range(rank))
+    return draw(st.text(alphabet="0123-,|a ", max_size=16))
+
+
+@st.composite
+def _cli_argv(draw):
+    """argv for roots, orbit or tables --id; "{out}" stands for the output path."""
+    command = draw(st.sampled_from(["roots", "orbit", "tables"]))
+    if command == "tables":
+        table_id = draw(st.sampled_from(TABLE_IDS + ("nope", "")))
+        return ["tables", "--id", table_id, "--out", "{out}", *draw(_FORMAT)]
+    type_args, rank = draw(_type_args())
+    if command == "roots":
+        count_only = draw(st.sampled_from([[], ["--count-only"]]))
+        return ["roots", *type_args, *count_only, *draw(_FORMAT)]
+    node = draw(st.integers(1, max(rank, 1)) | st.integers(-1, 10))
+    sos = ["--sos", draw(_sos_text(rank, node))]
+    mode = draw(st.sampled_from([["--chain", "auto"], sos, [], ["--chain", "auto", *sos]]))
+    return ["orbit", *type_args, "--node", str(node), *mode, *draw(_FORMAT)]
+
+
+@given(_cli_argv(), st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_cli_fuzz_exit_codes_and_no_traceback(argv, out_is_file):
+    with tempfile.TemporaryDirectory() as tmp:
+        out = os.path.join(tmp, "out")
+        if out_is_file:
+            with open(out, "w") as fh:
+                fh.write("a file, not a directory")
+        res = _run([out if a == "{out}" else a for a in argv])
+    assert res.exit_code in (0, 2, 3, 4), (argv, res.output)
+    assert "Traceback" not in res.output

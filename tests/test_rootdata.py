@@ -2,7 +2,13 @@ import random
 from fractions import Fraction
 
 import pytest
-from helpers import dense_root_closure, lie_types_up_to, weyl_orbit_with_signs
+from helpers import (
+    bilinear_by_sym,
+    coroot_s_coords_by_sym,
+    dense_root_closure,
+    lie_types_up_to,
+    weyl_orbit_with_signs,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -204,6 +210,35 @@ def test_roots_match_dense_closure(lie_type):
     rs = RootSystem(lie_type)
     assert rs.roots == roots
     assert rs.positive_roots == positives
+
+
+@pytest.mark.parametrize(
+    "lie_type",
+    lie_types_up_to(8) + [LieType.parse(n) for n in ("A30", "B24", "D26")],
+    ids=str,
+)
+def test_sparse_pairings_match_dense_sym_oracle(lie_type):
+    rs = root_system(str(lie_type))
+    r = rs.rank
+    rng = random.Random(f"pairings-{lie_type}")
+    for _ in range(20):
+        x = [rng.randint(-3, 3) for _ in range(r)]
+        y = [rng.choice((0, 0, rng.randint(-3, 3))) for _ in range(r)]
+        assert rs.bilinear(x, y) == bilinear_by_sym(rs, x, y)
+        fx = [Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(r)]
+        fy = [Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(r)]
+        assert rs.bilinear(fx, fy) == bilinear_by_sym(rs, fx, fy)
+        assert rs.bilinear(fx, y) == bilinear_by_sym(rs, fx, y)
+    roots = sorted(rs.roots)
+    if r > 8:
+        roots = rng.sample(roots, 40)
+    for alpha in roots:
+        assert 2 * rs.root_length(alpha) == bilinear_by_sym(rs, alpha, alpha)
+        s_coords = coroot_s_coords_by_sym(rs, alpha)
+        assert rs.coroot_s_coords(alpha) == s_coords
+        # H^alpha = sum_j h_j H^{alpha_j}, so alpha_k(H^alpha) = sum_j A[k][j] h_j
+        h = rs.coroot(alpha)
+        assert tuple(sum(rs.cartan[k][j] * h[j] for j in range(r)) for k in range(r)) == s_coords
 
 
 def test_pairings_of_simple_roots_are_cartan_rows():
