@@ -22,10 +22,12 @@ from .errors import (
     NotFundamentalAdjoint,
 )
 from .grading import (
+    eigen_dims,
     evaluate,
     grading_element_for,
     is_fundamental_adjoint,
     parabolic,
+    root_values,
 )
 from .reps import Weight
 from .rootdata import RootSystem, cartan_type, coroot_pairing, strongly_orthogonal
@@ -35,7 +37,7 @@ from .rootdata import RootSystem, cartan_type, coroot_pairing, strongly_orthogon
 
 def sos_candidates(rs: RootSystem, E) -> list:
     """The roots with beta(E) = 1 (necessarily positive and noncompact)."""
-    return [b for b in rs.positive_roots if evaluate(b, E) == 1]
+    return [b for b, v in zip(rs.positive_roots, root_values(rs, E)) if v == 1]
 
 
 def canonical_sos(rs: RootSystem, B) -> tuple:
@@ -81,20 +83,25 @@ def _require_valid(rs: RootSystem, E, B) -> tuple:
     return canonical_sos(rs, B)
 
 
-def iter_sos(rs: RootSystem, E, max_len=None):
+def _so_graph(rs: RootSystem, roots) -> list[int]:
+    """Bitmask k of the result: the j with roots[j] strongly orthogonal to roots[k]."""
+    n = len(roots)
+    adj = [0] * n
+    for i in range(n):
+        for j in range(i + 1, n):
+            if strongly_orthogonal(rs, roots[i], roots[j]):
+                adj[i] |= 1 << j
+                adj[j] |= 1 << i
+    return adj
+
+
+def iter_sos(rs: RootSystem, E):
     """All nonempty strongly orthogonal subsets of {beta : beta(E) = 1}.
 
     Canonical (sorted) tuples, each subset exactly once.
     """
     cand = sos_candidates(rs, E)
-    limit = len(cand) if max_len is None else max_len
-    n = len(cand)
-    compat = [0] * n
-    for i in range(n):
-        for j in range(i + 1, n):
-            if strongly_orthogonal(rs, cand[i], cand[j]):
-                compat[i] |= 1 << j
-                compat[j] |= 1 << i
+    compat = _so_graph(rs, cand)
 
     def extend(pool, current):
         k_pool = pool
@@ -103,11 +110,10 @@ def iter_sos(rs: RootSystem, E, max_len=None):
             k_pool &= k_pool - 1
             nxt = current + (cand[k],)
             yield nxt
-            if len(nxt) < limit:
-                # only indices above k, compatible with everything chosen
-                yield from extend(k_pool & compat[k], nxt)
+            # only indices above k, compatible with everything chosen
+            yield from extend(k_pool & compat[k], nxt)
 
-    yield from extend((1 << n) - 1, ())
+    yield from extend((1 << len(cand)) - 1, ())
 
 
 @dataclass(frozen=True)
@@ -116,11 +122,11 @@ class SosSearchResult:
     sets: tuple  # all sets of maximal size, canonical order
 
 
-def search_sos(rs: RootSystem, E, max_len=None) -> SosSearchResult:
+def search_sos(rs: RootSystem, E) -> SosSearchResult:
     """All maximum-size strongly orthogonal sets with beta(E) = 1."""
     best = 0
     sets = []
-    for B in iter_sos(rs, E, max_len):
+    for B in iter_sos(rs, E):
         if len(B) > best:
             best = len(B)
             sets = [B]
@@ -138,16 +144,9 @@ def real_rank(rs: RootSystem, E) -> int:
     Restricting to positive noncompact roots is harmless: flipping the sign
     of any member preserves strong orthogonality.
     """
-    verts = [b for b in rs.positive_roots if evaluate(b, E) % 2]
+    verts = [b for b, v in zip(rs.positive_roots, root_values(rs, E)) if v % 2]
     n = len(verts)
-    if n == 0:
-        return 0
-    adj = [0] * n
-    for i in range(n):
-        for j in range(i + 1, n):
-            if strongly_orthogonal(rs, verts[i], verts[j]):
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
+    adj = _so_graph(rs, verts)
     # order by descending degree for better pruning
     order = sorted(range(n), key=lambda i: -bin(adj[i]).count("1"))
     radj = [0] * n
@@ -203,16 +202,8 @@ class HodgeDeligneDiamond:
 def bigrading(rs: RootSystem, E, B) -> HodgeDeligneDiamond:
     """h^{p,q} = #{alpha : alpha(E) = p, alpha(Y) = p + q} plus rank at (0,0)."""
     B = _require_valid(rs, E, B)
-    corrs = [rs.coroot_s_coords(b) for b in B]
-    counts: dict = {}
-    for beta in rs.positive_roots:
-        for alpha in (beta, tuple(-c for c in beta)):
-            p = evaluate(alpha, E)
-            y = sum(evaluate(alpha, h) for h in corrs)
-            key = (p, y - p)
-            counts[key] = counts.get(key, 0) + 1
-    counts[(0, 0)] = counts.get((0, 0), 0) + rs.rank
-    dia = HodgeDeligneDiamond(tuple(sorted(counts.items())), rs.rank)
+    rows = [root_values(rs, rs.coroot_s_coords(b)) for b in B]
+    dia = _fast_diamond(rs, root_values(rs, E), rows)
     _check_diamond(rs, dia)
     return dia
 
@@ -333,12 +324,7 @@ def weight_grading_dims(rs: RootSystem, i: int) -> dict:
     expected = tuple(rs.cartan[j][i - 1] for j in range(rs.rank))
     if h != expected:
         raise AssertionError("coroot S-coordinates disagree with the Cartan column")
-    dims: dict[int, int] = {}
-    for beta in rs.positive_roots:
-        for alpha in (beta, tuple(-c for c in beta)):
-            ell = evaluate(alpha, h)
-            dims[ell] = dims.get(ell, 0) + 1
-    dims[0] = dims.get(0, 0) + rs.rank
+    dims = eigen_dims(rs, root_values(rs, h))
     e_dims = parabolic(rs, {i}).eigen_dims
     for ell, v in dims.items():
         if e_dims.get(-ell, 0) != v:
@@ -402,10 +388,10 @@ def gamma_subsystem(rs: RootSystem, B) -> list:
     """Roots strongly orthogonal to every member of B."""
     B = [rs.check_root(b) for b in B]
     out = []
+    # -beta is strongly orthogonal to b exactly when beta is
     for beta in rs.positive_roots:
-        for alpha in (beta, tuple(-c for c in beta)):
-            if all(strongly_orthogonal(rs, alpha, b) for b in B):
-                out.append(alpha)
+        if all(strongly_orthogonal(rs, beta, b) for b in B):
+            out += [beta, tuple(-c for c in beta)]
     return out
 
 
@@ -466,12 +452,8 @@ def boundary_census(rs: RootSystem, i: int) -> tuple[CensusEntry, ...]:
     """
     _require_fundamental_adjoint(rs, i)
     E = grading_element_for(rs, {i})
-    positives = rs.positive_roots
-    p_vals = tuple(evaluate(b, E) for b in positives)
-    pair_rows = {}
-    for b in sos_candidates(rs, E):
-        h = rs.coroot_s_coords(b)
-        pair_rows[b] = tuple(evaluate(a, h) for a in positives)
+    p_vals = root_values(rs, E)
+    pair_rows = {b: root_values(rs, rs.coroot_s_coords(b)) for b in sos_candidates(rs, E)}
     sets = list(iter_sos(rs, E))
     labels = _levi_weyl_classes(rs, i, sets)
     by_diamond: dict = {}  # diamond -> first set of each class, in iter_sos order
@@ -498,11 +480,9 @@ def boundary_census(rs: RootSystem, i: int) -> tuple[CensusEntry, ...]:
 
 
 def _fast_diamond(rs, p_vals, rows) -> HodgeDeligneDiamond:
+    """Diamond from the ``root_values`` of E and of each H^b, b in B (none: Y = 0)."""
     counts: dict = {}
-    if len(rows) == 1:
-        y_vals = rows[0]
-    else:
-        y_vals = [sum(vals) for vals in zip(*rows)]
+    y_vals = [sum(vals) for vals in zip(*rows)] if rows else [0] * len(p_vals)
     for p, y in zip(p_vals, y_vals):
         q = y - p
         counts[(p, q)] = counts.get((p, q), 0) + 1

@@ -33,7 +33,7 @@ from functools import cache
 from math import lcm
 
 from .errors import CompactRoot, NotARoot
-from .grading import evaluate
+from .grading import evaluate, root_values
 from .rootdata import RootSystem
 
 # -- Gaussian rationals -------------------------------------------------------
@@ -223,7 +223,6 @@ class StructureConstants:
         self.dim = rs.rank + len(roots)
         # dense integer bracket table on basis indices: (i, j) -> [(k, coeff)]
         table: dict = {}
-        r = rs.rank
         for a, ia in self.root_index.items():
             # [H^{alpha_j}, x^a] = a(H^{alpha_j}) x^a
             for j, pair in enumerate(rs.pairings(a)):
@@ -238,11 +237,11 @@ class StructureConstants:
             s = tuple(x + y for x, y in zip(a, b))
             table[(self.root_index[a], self.root_index[b])] = ((self.root_index[s], n),)
         self.bracket_table = table
-        # Killing form closed-form data: B(H^i, H^j) = sum_g g(H^i) g(H^j)
-        simple_coroots = [rs.coroot_s_coords(a) for a in rs.simple_roots]
-        values = [[evaluate(g, h) for h in simple_coroots] for g in roots]
+        # Killing form closed-form data: B(H^i, H^j) = sum_g g(H^i) g(H^j),
+        # twice the sum over the positive roots
+        values = [root_values(rs, rs.coroot_s_coords(a)) for a in rs.simple_roots]
         self.killing_h = tuple(
-            tuple(sum(v[i] * v[j] for v in values) for j in range(r)) for i in range(r)
+            tuple(2 * sum(a * b for a, b in zip(vi, vj)) for vj in values) for vi in values
         )
 
     # -- element algebra ----------------------------------------------------
@@ -366,10 +365,10 @@ def rational_form(sc: StructureConstants, T) -> RationalFormBasis:
     rs = sc.rs
     h = tuple(_gr_vec({j: I_UNIT}) for j in range(rs.rank))
     u, v, parity = {}, {}, {}
-    for beta in rs.positive_roots:
+    for beta, t in zip(rs.positive_roots, root_values(rs, T)):
         ib = sc.root_index[beta]
         ineg = sc.root_index[tuple(-c for c in beta)]
-        odd = evaluate(beta, T) % 2
+        odd = t % 2
         parity[beta] = odd
         if odd:
             u[beta] = _gr_vec({ib: I_UNIT, ineg: -I_UNIT})

@@ -72,9 +72,7 @@ def _parse_sos(text):
 
 
 @click.group()
-@click.option("--seed", type=int, default=0, show_default=True,
-              help="Reserved; no command uses it yet.")
-def main(seed):
+def main():
     pass
 
 
@@ -120,6 +118,19 @@ def _diamond_json(dia):
     ]
 
 
+def _orbit_row(B, inv, dia, classes):
+    return {
+        "s": len(B),
+        "sos": [list(b) for b in B],
+        "c": inv.codim,
+        "k": inv.k_dim,
+        "mu": inv.mu,
+        "lmhs": inv.lmhs_type,
+        "classes": classes,
+        "diamond": _diamond_json(dia),
+    }
+
+
 @main.command()
 @click.option("--type", "type_str", required=True)
 @click.option("--rank", type=int, default=None)
@@ -136,48 +147,25 @@ def orbit(type_str, rank, node, chain, sos_str, fmt):
         raise click.BadParameter(
             f"node {node} outside 1..{lie_type.rank}", param_hint="--node"
         )
-    rs = _build(lie_type)
     if (chain is None) == (sos_str is None):
         raise click.BadParameter("exactly one of --chain auto or --sos is required")
     B = None if sos_str is None else _parse_sos(sos_str)
-    rows = []
+    rs = _build(lie_type)
     try:
         E = grading.grading_element_for(rs, {node})
         if chain == "auto":
-            for entry in cayley.boundary_census(rs, node):
-                inv = entry.invariants
-                rows.append(
-                    {
-                        "s": len(entry.representative),
-                        "sos": [list(b) for b in entry.representative],
-                        "c": inv.codim,
-                        "k": inv.k_dim,
-                        "mu": inv.mu,
-                        "lmhs": inv.lmhs_type,
-                        "classes": entry.weyl_classes,
-                        "diamond": _diamond_json(entry.diamond),
-                    }
-                )
+            rows = [
+                _orbit_row(e.representative, e.invariants, e.diamond, e.weyl_classes)
+                for e in cayley.boundary_census(rs, node)
+            ]
         else:
             violations = cayley.validate_sos(rs, E, B)
             if violations:
                 for msg in violations:
                     click.echo(f"invalid SOS: {msg}", err=True)
                 sys.exit(3)
-            inv = cayley.orbit_invariants(rs, E, B)
             dia = cayley.bigrading(rs, E, B)
-            rows.append(
-                {
-                    "s": len(B),
-                    "sos": [list(rs.check_root(b)) for b in B],
-                    "c": inv.codim,
-                    "k": inv.k_dim,
-                    "mu": inv.mu,
-                    "lmhs": inv.lmhs_type,
-                    "classes": 1,
-                    "diamond": _diamond_json(dia),
-                }
-            )
+            rows = [_orbit_row(B, cayley._invariants_from_diamond(rs, dia), dia, 1)]
     except HodgeOrbitError as exc:
         click.echo(f"invalid input: {exc}", err=True)
         sys.exit(3)

@@ -1,4 +1,10 @@
-"""Grading-element decompositions, parabolic data and root compactness."""
+"""Grading-element decompositions, parabolic data and root compactness.
+
+``root_values`` is the one place a grading element h meets the roots: it gives
+alpha(h) for every positive root, visiting only the nonzero entries of h, and
+-alpha takes the negated value.  ``eigen_dims`` counts those values as the
+eigenspace dimensions of g.  ``evaluate`` is for weights and single vectors.
+"""
 
 from __future__ import annotations
 
@@ -19,6 +25,22 @@ def grading_element_for(rs: RootSystem, I) -> GradingElement:
 def evaluate(coords, element) -> object:
     """Value of the grading element on a vector in simple-root coordinates."""
     return sum(c * e for c, e in zip(coords, element))
+
+
+def root_values(rs: RootSystem, h) -> tuple:
+    """alpha(h) for each alpha in ``rs.positive_roots``, in order, from the nonzero h_j."""
+    nonzero = [(j, c) for j, c in enumerate(h) if c]
+    return tuple(sum(beta[j] * c for j, c in nonzero) for beta in rs.positive_roots)
+
+
+def eigen_dims(rs: RootSystem, values) -> dict:
+    """dim g^v from ``root_values``: each value counts at v and -v, the rank at 0."""
+    dims: dict = {}
+    for v in values:
+        dims[v] = dims.get(v, 0) + 1
+        dims[-v] = dims.get(-v, 0) + 1
+    dims[0] = dims.get(0, 0) + rs.rank
+    return dims
 
 
 def _check_index_set(rs: RootSystem, I) -> frozenset:
@@ -47,13 +69,8 @@ def parabolic(rs: RootSystem, I) -> ParabolicData:
     """Dimensions of the g^p and of the flag variety G/P_I."""
     I = _check_index_set(rs, I)
     E = grading_element_for(rs, I)
-    dims: dict[int, int] = {}
-    for beta in rs.positive_roots:
-        p = evaluate(beta, E)
-        dims[p] = dims.get(p, 0) + 1
-        dims[-p] = dims.get(-p, 0) + 1
-    zero_root_part = dims.get(0, 0)
-    dims[0] = zero_root_part + rs.rank
+    dims = eigen_dims(rs, root_values(rs, E))
+    zero_root_part = dims[0] - rs.rank
     flag_dim = sum(v for p, v in dims.items() if p > 0)
     if sum(dims.values()) != rs.dimension:
         raise AssertionError("eigenspace dimensions do not sum to dim g")
@@ -90,12 +107,8 @@ def is_fundamental_adjoint(rs: RootSystem, I) -> bool:
 def classify_root_compactness(rs: RootSystem, E: GradingElement):
     """Split the roots by parity of alpha(E): (compact, noncompact)."""
     compact, noncompact = [], []
-    for beta in rs.positive_roots:
-        neg = tuple(-c for c in beta)
-        if evaluate(beta, E) % 2:
-            noncompact += [beta, neg]
-        else:
-            compact += [beta, neg]
+    for beta, v in zip(rs.positive_roots, root_values(rs, E)):
+        (noncompact if v % 2 else compact).extend((beta, tuple(-c for c in beta)))
     return tuple(compact), tuple(noncompact)
 
 
@@ -103,10 +116,10 @@ def schubert_dim_from_grading(rs: RootSystem, i: int, T_w) -> int:
     """#{alpha in Delta : alpha(S^i) = 1 and alpha(T_w) <= 0}."""
     if not 1 <= i <= rs.rank:
         raise IndexOutOfRange(f"index {i} outside 1..{rs.rank}")
-    count = 0
-    # alpha(S^i) is the i-th simple-root coordinate
-    for beta in rs.positive_roots:
-        for alpha in (beta, tuple(-c for c in beta)):
-            if alpha[i - 1] == 1 and evaluate(alpha, T_w) <= 0:
-                count += 1
-    return count
+    # alpha(S^i) is the i-th simple-root coordinate, so it is 1 only on
+    # positive roots
+    return sum(
+        1
+        for beta, v in zip(rs.positive_roots, root_values(rs, T_w))
+        if beta[i - 1] == 1 and v <= 0
+    )

@@ -7,16 +7,18 @@ enumerated as orbits of a strictly dominant vector, and roots are closed
 under simple reflections with dense pairings against the Cartan matrix.
 The root-lattice form is the dense r x r matrix d_j A[i][j].  Definiteness
 is Sylvester's criterion with one determinant per leading minor, and the
-Jacobi sum is taken through dict brackets.  The boundary census is the
-per-set path: one diamond for every strongly orthogonal set.
+Jacobi sum is taken through dict brackets.  Diamonds are counted by dense
+evaluation over all of ``rs.roots``, with coroots from the dense form, and
+the boundary census is the per-set path: one diamond for every strongly
+orthogonal set.
 """
 
 from fractions import Fraction
 
 from hodgeorbit.cayley import (
     CensusEntry,
+    HodgeDeligneDiamond,
     _check_diamond,
-    _fast_diamond,
     _invariants_from_diamond,
     iter_sos,
     sos_candidates,
@@ -173,22 +175,44 @@ def weyl_dimension_by_bilinear(rs: RootSystem, lam):
     return int(num)
 
 
+def _diamond_by_roots(rs: RootSystem, p_vals, rows):
+    """h^{p,q} from dense value rows over ``rs.roots`` (E, then each H^b)."""
+    counts = {(0, 0): rs.rank}
+    for p, *ys in zip(p_vals, *rows):
+        key = (p, sum(ys) - p)
+        counts[key] = counts.get(key, 0) + 1
+    return HodgeDeligneDiamond(tuple(sorted(counts.items())), rs.rank)
+
+
+def _dense_row(rs: RootSystem, h):
+    return [evaluate(alpha, h) for alpha in rs.roots]
+
+
+def _coroot_row(rs: RootSystem, b):
+    return _dense_row(rs, [int(c) for c in coroot_s_coords_by_sym(rs, b)])
+
+
+def bigrading_by_roots(rs: RootSystem, E, B):
+    """The diamond of B by dense evaluation of E and every H^b on every root."""
+    rows = [_coroot_row(rs, b) for b in B]
+    return _diamond_by_roots(rs, _dense_row(rs, E), rows)
+
+
 def census_by_sets(rs: RootSystem, i):
     """The boundary census with one diamond per strongly orthogonal set.
 
-    Every set from ``iter_sos`` gets its own diamond; the sets are grouped by
-    diamond and the Levi-Weyl classes are counted within each group, each
-    set joined to its images under the simple reflections s_j, j != i.
+    Every set from ``iter_sos`` gets its own diamond, counted over all of
+    ``rs.roots`` from dense rows computed once per candidate; the sets are
+    grouped by diamond and the Levi-Weyl classes are counted within each
+    group, each set joined to its images under the simple reflections s_j,
+    j != i.
     """
     E = grading_element_for(rs, {i})
-    p_vals = tuple(evaluate(b, E) for b in rs.positive_roots)
-    pair_rows = {}
-    for b in sos_candidates(rs, E):
-        h = [int(c) for c in coroot_s_coords_by_sym(rs, b)]
-        pair_rows[b] = tuple(evaluate(a, h) for a in rs.positive_roots)
+    p_vals = _dense_row(rs, E)
+    pair_rows = {b: _coroot_row(rs, b) for b in sos_candidates(rs, E)}
     by_diamond = {}
     for B in iter_sos(rs, E):
-        dia = _fast_diamond(rs, p_vals, [pair_rows[b] for b in B])
+        dia = _diamond_by_roots(rs, p_vals, [pair_rows[b] for b in B])
         by_diamond.setdefault(dia, []).append(B)
     entries = []
     for dia, sets in by_diamond.items():

@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from helpers import census_by_sets, lie_types_up_to
+from helpers import bigrading_by_roots, census_by_sets, lie_types_up_to
 
 from hodgeorbit.cayley import (
     bigrading,
@@ -115,6 +115,7 @@ def test_bigrading_empty_is_antidiagonal():
     g2 = root_system("G2")
     E = grading_element_for(g2, {2})
     dia = bigrading(g2, E, [])
+    assert dia == bigrading_by_roots(g2, E, [])
     assert all(q == -p for (p, q) in dia.support)
     from hodgeorbit.grading import parabolic
 
@@ -384,6 +385,7 @@ def test_diamond_symmetries_random_sweep():
         if not B:
             continue
         dia = bigrading(rs, E, B)  # symmetry + total checked internally
+        assert dia == bigrading_by_roots(rs, E, B)
         d = dia.as_dict()
         for (p, q), v in d.items():
             assert d.get((q, p)) == v and d.get((-p, -q)) == v

@@ -229,8 +229,11 @@ def test_cli_entry_point_subprocess():
     assert out.stdout.strip() == "6"
 
 
-def test_seed_option_accepted():
-    assert _run(["--seed", "42", "roots", "--type", "A1"]).exit_code == 0
+def test_seed_option_removed():
+    res = _run(["--seed", "42", "roots", "--type", "A1"])
+    assert res.exit_code == 2
+    assert "Traceback" not in res.output
+    assert "--seed" in res.output
 
 
 @pytest.mark.parametrize("sos", ["1,a", "", "1,0,0|", "|1,0,0", "1,,0"])
@@ -275,6 +278,21 @@ def test_rank_cap_exit_2_before_building():
     assert build_root_system.cache_info().misses == misses
     res = _run(["roots", "--type", "A", "--rank", str(over), "--count-only"])
     assert res.output == f"{over * (over + 1) // 2}\n"
+
+
+def test_orbit_bad_options_exit_2_before_building():
+    misses = build_root_system.cache_info().misses
+    for argv, hint in (
+        (["orbit", "--type", "D64", "--node", "2"], "exactly one of"),
+        (["orbit", "--type", "D64", "--node", "2", "--chain", "auto", "--sos", "0,1"],
+         "exactly one of"),
+        (["orbit", "--type", "D64", "--node", "2", "--sos", "1,a"], "--sos"),
+    ):
+        res = _run(argv)
+        assert res.exit_code == 2
+        assert "Traceback" not in res.output
+        assert hint in res.output
+    assert build_root_system.cache_info().misses == misses
 
 
 def test_rank_cap_is_inclusive():

@@ -1,4 +1,7 @@
+import random
+
 import pytest
+from helpers import lie_types_up_to
 
 from hodgeorbit.errors import IndexOutOfRange
 from hodgeorbit.grading import (
@@ -11,6 +14,8 @@ from hodgeorbit.grading import (
     schubert_dim_from_grading,
 )
 from hodgeorbit.rootdata import root_system
+
+SMALL_TYPES = [str(t) for t in lie_types_up_to(8)]
 
 FUNDAMENTAL_ADJOINTS = [
     ("B3", 2), ("B4", 2), ("D4", 2), ("D5", 2),
@@ -40,10 +45,25 @@ def test_parabolic_errors():
         parabolic(root_system("G2"), {3})
 
 
+def _dense_eigen_dims(rs, E):
+    dims = {0: rs.rank}
+    for alpha in rs.roots:
+        p = evaluate(alpha, E)
+        dims[p] = dims.get(p, 0) + 1
+    return dims
+
+
 def test_parabolic_symmetry_and_total():
-    for name, I in [("E6", {2}), ("E7", {3, 5}), ("B4", {1, 4}), ("G2", {1})]:
+    cases = [("E6", {2}), ("E7", {3, 5}), ("B4", {1, 4}), ("G2", {1})] + [
+        (name, {i}) for name in SMALL_TYPES for i in range(1, root_system(name).rank + 1)
+    ]
+    for name, I in cases:
         rs = root_system(name)
         pd = parabolic(rs, I)
+        # eigen_dims of root_values against a dense count over all roots
+        dense = _dense_eigen_dims(rs, pd.grading_element)
+        assert pd.eigen_dims == dense
+        assert pd.zero_root_part == dense[0] - rs.rank
         assert sum(pd.eigen_dims.values()) == rs.dimension
         for p, d in pd.eigen_dims.items():
             assert pd.eigen_dims[-p] == d
@@ -133,6 +153,26 @@ def test_schubert_dims_table8():
     for spec in specs8:
         tw = tuple(spec.get(j + 1, 0) for j in range(8))
         assert schubert_dim_from_grading(e8, 8, tw) == 28
+
+
+def test_schubert_and_compactness_match_dense_counts():
+    rng = random.Random(20261018)
+    for name in SMALL_TYPES:
+        rs = root_system(name)
+        for _ in range(4):
+            T = tuple(rng.randint(-2, 2) for _ in range(rs.rank))
+            values = {alpha: evaluate(alpha, T) for alpha in rs.roots}
+            compact, noncompact = classify_root_compactness(rs, T)
+            assert set(noncompact) == {a for a, v in values.items() if v % 2}
+            assert set(compact) == {a for a, v in values.items() if not v % 2}
+            assert len(compact) + len(noncompact) == len(rs.roots)
+            # each positive root is followed by its negative, in root order
+            for part in (compact, noncompact):
+                assert list(part[0::2]) == [b for b in rs.positive_roots if b in part]
+                assert [tuple(-c for c in b) for b in part[0::2]] == list(part[1::2])
+            for i in range(1, rs.rank + 1):
+                expect = sum(1 for a, v in values.items() if a[i - 1] == 1 and v <= 0)
+                assert schubert_dim_from_grading(rs, i, T) == expect
 
 
 def test_grading_element_evaluation():
