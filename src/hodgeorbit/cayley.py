@@ -79,7 +79,7 @@ def validate_sos(rs: RootSystem, E, B) -> list[str]:
 def _require_valid(rs: RootSystem, E, B) -> tuple:
     violations = validate_sos(rs, E, B)
     if violations:
-        raise InvalidSOS("; ".join(violations))
+        raise InvalidSOS(violations)
     return canonical_sos(rs, B)
 
 

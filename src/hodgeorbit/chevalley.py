@@ -513,7 +513,7 @@ def _killing_gram(sc: StructureConstants, vecs) -> list:
     B(H, x^a) = 0, so only vectors sharing the Cartan part or a support
     +-beta are paired; every other entry is the exact 0."""
     r, npos = sc.rs.rank, len(sc.rs.positive_roots)
-    gram = [[Fraction(0)] * len(vecs) for _ in vecs]
+    gram = [[0] * len(vecs) for _ in vecs]
     sharing: dict = {}  # -1 for the Cartan part, m for +-beta_m -> members
     for a, vec in enumerate(vecs):
         for part in {-1 if k < r else (k - r) % npos for k in vec}:
@@ -534,21 +534,35 @@ def _real_of(value):
 
 
 def _definite(gram, sign) -> bool:
-    """Is sign * gram (exact, symmetric) positive definite?  One LDL^T pass:
-    the k-th pivot is minor_k / minor_{k-1}, so every pivot is positive
-    exactly when Sylvester's criterion holds."""
-    n = len(gram)
-    m = [[sign * Fraction(x) for x in row] for row in gram]
-    for k in range(n):
-        row = m[k]
-        if row[k] <= 0:
-            return False
-        cols = [j for j in range(k + 1, n) if row[j]]
-        for i in cols:
-            f = m[i][k] / row[k]
-            target = m[i]
-            for j in cols:
-                target[j] -= f * row[j]
+    """Is sign * gram (exact, symmetric) positive definite?  Exactly when each
+    connected block of nonzero entries is: for a Killing gram, the Cartan part
+    and one per +-beta.  Each block, scaled to integers, gets one fraction-free
+    (Bareiss) pass whose k-th pivot is the k-th leading minor (Sylvester)."""
+    near = [[j for j, x in enumerate(row) if x] for row in gram]
+    seen = set()
+    for first in range(len(gram)):
+        if first in seen:
+            continue
+        block = [first]
+        seen.add(first)
+        for a in block:  # grows into the component of ``first``
+            block += [b for b in near[a] if b not in seen]
+            seen.update(near[a])
+        den = lcm(*(gram[a][b].denominator for a in block for b in near[a]))
+        m = [
+            [sign * gram[a][b].numerator * (den // gram[a][b].denominator) for b in block]
+            for a in block
+        ]
+        prev = 1
+        for k, row in enumerate(m):
+            pivot = row[k]
+            if pivot <= 0:
+                return False
+            for target in m[k + 1:]:
+                f = target[k]
+                for j in range(k + 1, len(m)):
+                    target[j] = (target[j] * pivot - f * row[j]) // prev
+            prev = pivot
     return True
 
 

@@ -42,7 +42,11 @@ class NotDegreeOne(HodgeOrbitError):
 
 
 class InvalidSOS(HodgeOrbitError):
-    """Strongly orthogonal set failed validation."""
+    """Strongly orthogonal set failed validation, with every violation listed."""
+
+    def __init__(self, violations):
+        super().__init__("; ".join(violations))
+        self.violations = list(violations)
 
 
 class NotFundamentalAdjoint(HodgeOrbitError):

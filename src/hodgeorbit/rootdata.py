@@ -5,21 +5,25 @@ roots (Bourbaki numbering).  All pairings are computed from the Cartan matrix
 ``A[i][j] = alpha_i(H^{alpha_j})`` and the half-square-lengths ``d_j`` with
 ``(alpha_j, alpha_j) = 2 d_j``; the overall scale of ``d`` is irrelevant
 because every exposed quantity is a ratio.  No dense matrix of the form is
-kept: ``(x, alpha_j) = d_j <x, alpha_j^vee>``, so ``bilinear``, root lengths
-and coroots go through the sparse Cartan columns below.
+kept: ``(x, alpha_j) = d_j <x, alpha_j^vee>``, so ``bilinear`` and coroots
+go through the sparse Cartan columns below.
 
-The Weyl group acts through one primitive on ``RootSystem``.  Each column j
-of the Cartan matrix is stored as its nonzero entries, at most four, so
-``pairings(v)`` gives every <v, alpha_j^vee> in O(rank) and
-``simple_reflection(v, j)`` costs O(1) when the pairing is 0, returning ``v``
-itself.  ``weyl_orbit`` is the one breadth-first closure under simple
-reflections: it generates the roots, and it gives Levi orbits and Weyl words.
-The primitive acts on coordinate tuples, integer roots and ``Fraction``
-weights alike.  No table of simple reflections as permutations of root
-indices is stored: for the eight root systems of the ``classical_census``
-benchmark workload, such tables and the root index they need take 2.4 MB
-(tracemalloc), 7% of that workload's 34 MB peak, while a sparse pairing
-costs at most four products.
+The Weyl group acts through one primitive on ``RootSystem``.  The Cartan
+matrix is kept sparse, each column and each row as its nonzero entries (at
+most four), so ``pairings(v)`` costs O(rank) and ``simple_reflection(v, j)``
+O(1) when the pairing is 0, returning ``v`` itself.  ``weyl_orbit`` is the one
+breadth-first closure under simple reflections: it generates the roots, and
+it gives Levi orbits and Weyl words.  Each vertex carries its nonzero
+pairings, updated along an edge s_j by row j, and is reflected only where
+they are nonzero.  It acts on coordinate tuples, integer roots and
+``Fraction`` weights alike.  No table of simple reflections as permutations
+of root indices is stored: for the ``classical_census`` benchmark workload
+such tables would take 2.4 MB (tracemalloc), 7% of its peak, while a sparse
+pairing costs at most four products.
+
+W preserves length and every root is conjugate to a simple root, so the tree
+that generates the roots gives each root the d_j of the simple root it came
+from: ``roots`` is the key view of that one map, and ``root_length`` a lookup.
 
 ``cartan_type`` is the one classifier of Cartan matrices: it splits a
 matrix into connected components and names each one.
@@ -205,7 +209,8 @@ class RootSystem:
     """Immutable root system for one simple Lie type.
 
     The roots are the orbit of the simple roots under the simple
-    reflections; membership tests go through a hash set keyed on coords.
+    reflections; membership tests and root lengths go through one dict
+    keyed on coords, and ``roots`` is its key view.
     Safe for concurrent shared reads once constructed.
     """
 
@@ -217,6 +222,10 @@ class RootSystem:
         self._columns = tuple(
             tuple((i, row[j]) for i, row in enumerate(self.cartan) if row[j])
             for j in range(r)
+        )
+        # row i as its nonzero entries (j, A[i][j]): the pairings of alpha_i
+        self._rows = tuple(
+            tuple((j, a) for j, a in enumerate(row) if a) for row in self.cartan
         )
         self.simple_roots = tuple(
             tuple(int(i == j) for i in range(r)) for j in range(r)
@@ -240,44 +249,55 @@ class RootSystem:
 
         Maps each vector to (parent, j) with vector = s_j(parent), and each
         start to None, so following parents spells a word from a start.
+        s_j(v) = v - p alpha_j has the pairings of v minus p times row j;
+        each vertex is reflected where its pairing is nonzero, in ascending j.
         """
-        nodes = range(self.rank) if nodes is None else tuple(nodes)
+        keep = range(self.rank) if nodes is None else set(nodes)
+        rows = [[(k, a) for k, a in row if k in keep] for row in self._rows]
         tree = dict.fromkeys(starts)
-        frontier = list(tree)
+        frontier = [
+            (v, {j: p for j, p in enumerate(self.pairings(v)) if p and j in keep})
+            for v in tree
+        ]
         while frontier:
             nxt = []
-            for v in frontier:
-                for j in nodes:
-                    w = self.simple_reflection(v, j)
-                    if w is not v and w not in tree:
+            for v, pair in frontier:
+                for j in sorted(pair):
+                    p = pair[j]
+                    w = v[:j] + (v[j] - p,) + v[j + 1:]
+                    if w not in tree:
                         tree[w] = (v, j)
-                        nxt.append(w)
+                        child = dict(pair)
+                        for k, a in rows[j]:
+                            child[k] = child.get(k, 0) - p * a
+                        nxt.append((w, {k: x for k, x in child.items() if x}))
             frontier = nxt
         return tree
 
     def _generate(self):
         r = self.rank
-        roots = self.weyl_orbit(self.simple_roots)
-        for beta in roots:
-            if not (all(c >= 0 for c in beta) or all(c <= 0 for c in beta)):
+        tree = self.weyl_orbit(self.simple_roots)
+        for beta, link in tree.items():
+            if min(beta) < 0 < max(beta):
                 raise AssertionError(f"mixed-sign root generated: {beta}")
-        self.roots = frozenset(roots)
-        positives = [beta for beta in roots if sum(beta) > 0]
+            # W preserves length: a start alpha_j has d_j, a child its parent's d
+            tree[beta] = self.lengths[beta.index(1)] if link is None else tree[link[0]]
+        self._root_lengths = tree
+        self.roots = tree.keys()
+        positives = [beta for beta in tree if sum(beta) > 0]
         positives.sort(key=lambda beta: (sum(beta), beta))
         self.positive_roots = tuple(positives)
         expected = POSITIVE_ROOT_COUNTS[self.lie_type.family](r)
-        if len(positives) != expected or len(roots) != 2 * expected:
+        if len(positives) != expected or len(tree) != 2 * expected:
             raise AssertionError(
                 f"{self.lie_type}: got {len(positives)} positive roots of "
-                f"{len(roots)}, expected {expected}"
+                f"{len(tree)}, expected {expected}"
             )
-        self.highest_root = positives[-1]
-        for j in range(r):
-            cand = tuple(
-                self.highest_root[k] + (1 if k == j else 0) for k in range(r)
-            )
-            if cand in self.roots:
-                raise AssertionError("highest root is not highest")
+        self.highest_root = theta = positives[-1]
+        if any(theta[:j] + (theta[j] + 1,) + theta[j + 1:] in tree for j in range(r)):
+            raise AssertionError("highest root is not highest")
+        if self.bilinear(theta, theta) != 2 * tree[theta]:
+            raise AssertionError("root lengths do not match the form")
         self.dimension = r + 2 * len(positives)
 
     @cached_property
@@ -335,12 +355,8 @@ class RootSystem:
         )
 
     def root_length(self, alpha) -> int:
-        """d_alpha with (alpha, alpha) = 2 d_alpha; an integer for roots."""
-        alpha = self.check_root(alpha)
-        two_d = self.bilinear(alpha, alpha)
-        if two_d % 2:
-            raise AssertionError("odd root norm")
-        return two_d // 2
+        """d_alpha with (alpha, alpha) = 2 d_alpha, read off the orbit tree."""
+        return self._root_lengths[self.check_root(alpha)]
 
     def coroot(self, alpha) -> Coords:
         """H^alpha as an integer vector in the basis H^{alpha_1}..H^{alpha_r}."""
@@ -380,8 +396,7 @@ def coroot_pairing(rs: RootSystem, beta, alpha):
     ``beta`` may be any rational vector in simple-root coordinates;
     the result is an integer whenever beta is a root.
     """
-    alpha = rs.check_root(alpha)
-    val = Fraction(2 * rs.bilinear(beta, alpha), rs.bilinear(alpha, alpha))
+    val = Fraction(2 * rs.bilinear(beta, alpha), 2 * rs.root_length(alpha))
     if val.denominator == 1:
         val = int(val)
     if rs.is_root(beta) and not isinstance(val, int):

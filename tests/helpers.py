@@ -5,6 +5,7 @@ reusing the library's algorithms: weight multiplicities come from the Weyl
 character formula with an explicit Kostant partition count, Weyl groups are
 enumerated as orbits of a strictly dominant vector, and roots are closed
 under simple reflections with dense pairings against the Cartan matrix.
+The orbit tree is rebuilt by trying every node on every vertex.
 The root-lattice form is the dense r x r matrix d_j A[i][j].  Definiteness
 is Sylvester's criterion with one determinant per leading minor, and the
 Jacobi sum is taken through dict brackets.  Diamonds are counted by dense
@@ -62,6 +63,26 @@ def weyl_orbit_with_signs(rs: RootSystem, start):
                     nxt.append(img)
         frontier = nxt
     return out
+
+
+def weyl_orbit_by_every_node(rs: RootSystem, starts, nodes=None):
+    """The breadth-first orbit tree {vector: (parent, j) | None} of
+    ``RootSystem.weyl_orbit``, built by applying ``rs.simple_reflection`` for
+    every node of ``nodes``, in the order given, to every vertex, where the
+    library carries each vertex's nonzero pairings along the tree."""
+    nodes = range(rs.rank) if nodes is None else tuple(nodes)
+    tree = dict.fromkeys(starts)
+    frontier = list(tree)
+    while frontier:
+        nxt = []
+        for v in frontier:
+            for j in nodes:
+                w = rs.simple_reflection(v, j)
+                if w is not v and w not in tree:
+                    tree[w] = (v, j)
+                    nxt.append(w)
+        frontier = nxt
+    return tree
 
 
 def dense_root_closure(lie_type):

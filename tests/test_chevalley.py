@@ -281,6 +281,39 @@ def test_definite_matches_sylvester_oracle():
     assert ("diagonal", -1, False) in verdicts
 
 
+def _block_diagonal_samples(rng):
+    """Two or three seeded samples of size <= 4 as the blocks of one matrix,
+    with interleaved indices and a Fraction scale, like a Killing gram."""
+    small = [(kind, g) for kind, g in _symmetric_samples(rng) if len(g) <= 4]
+    positive = [g for kind, g in small if kind in ("definite", "diagonal")]
+    for _ in range(30):
+        k = rng.randint(2, 3)
+        parts = rng.sample(positive, k) if rng.random() < 0.5 else [
+            g for _, g in rng.sample(small, k)]
+        n = sum(len(g) for g in parts)
+        perm = rng.sample(range(n), n)
+        scale = Fraction(1, rng.randint(1, 6))
+        gram = [[0] * n for _ in range(n)]
+        offset = 0
+        for g in parts:
+            for i, row in enumerate(g):
+                for j, x in enumerate(row):
+                    gram[perm[offset + i]][perm[offset + j]] = scale * x
+            offset += len(g)
+        yield gram
+
+
+def test_definite_on_block_diagonal_matches_sylvester_oracle():
+    rng = random.Random(3141)
+    verdicts = set()
+    for gram in _block_diagonal_samples(rng):
+        for sign in (1, -1):
+            got = _definite(gram, sign)
+            assert got == definite_by_sylvester(gram, sign), (sign, gram)
+            verdicts.add((sign, got))
+    assert verdicts == {(1, True), (1, False), (-1, False)}
+
+
 def test_jacobi_residual_matches_dict_oracle():
     for name in ("G2", "B3"):
         sc = _sc(name)

@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -252,6 +253,30 @@ def test_orbit_repeated_root_reports_only_repetition():
     assert res.stderr == "invalid SOS: repeated root\n"
 
 
+def test_orbit_sos_validates_once_and_reports_each_violation(monkeypatch):
+    from hodgeorbit import cayley
+
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return validate(*args)
+
+    validate = cayley.validate_sos
+    monkeypatch.setattr(cayley, "validate_sos", counted)
+    res = _run(["orbit", "--type", "B3", "--node", "2", "--sos", "0,1,0|0,1,2"])
+    assert res.exit_code == 0 and len(calls) == 1
+    calls.clear()
+    # three violations: not a root, an E-value that is not 1, a root sum
+    res = _run(["orbit", "--type", "B3", "--node", "2", "--sos", "0,1,0|0,0,3|1,0,0"])
+    assert res.exit_code == 3 and len(calls) == 1
+    assert res.stderr == (
+        "invalid SOS: (0, 0, 3) is not a root\n"
+        "invalid SOS: (1, 0, 0) has E-value 0, need 1\n"
+        "invalid SOS: sum (1, 1, 0) of (0, 1, 0) and (1, 0, 0) is a root\n"
+    )
+
+
 def test_validate_sos_repeated_root_is_one_violation():
     from hodgeorbit import cayley, grading
     from hodgeorbit.rootdata import root_system
@@ -365,3 +390,23 @@ def test_cli_fuzz_exit_codes_and_no_traceback(argv, out_is_file):
         res = _run([out if a == "{out}" else a for a in argv])
     assert res.exit_code in (0, 2, 3, 4), (argv, res.output)
     assert "Traceback" not in res.output
+
+
+#: the installed console script, else the package run as a module
+_CONSOLE = [shutil.which("hodgeorbit") or sys.executable]
+if _CONSOLE[0] == sys.executable:
+    _CONSOLE.extend(["-m", "hodgeorbit"])
+
+
+@given(_cli_argv())
+@settings(max_examples=20, deadline=None)
+def test_console_script_fuzz_exit_codes_and_no_traceback(argv):
+    # a fresh process: exit codes and stderr as a shell sees them
+    with tempfile.TemporaryDirectory() as tmp:
+        out = os.path.join(tmp, "out")
+        proc = subprocess.run(
+            _CONSOLE + [out if a == "{out}" else a for a in argv],
+            capture_output=True, text=True, stdin=subprocess.DEVNULL, timeout=60,
+        )
+    assert proc.returncode in (0, 2, 3, 4), (argv, proc.stderr)
+    assert "Traceback" not in proc.stderr

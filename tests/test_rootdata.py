@@ -7,6 +7,7 @@ from helpers import (
     coroot_s_coords_by_sym,
     dense_root_closure,
     lie_types_up_to,
+    weyl_orbit_by_every_node,
     weyl_orbit_with_signs,
 )
 from hypothesis import given, settings
@@ -284,6 +285,56 @@ def test_weyl_orbit_on_levi_nodes():
     tree = rs.weyl_orbit([rs.simple_roots[1]], [0, 2])
     assert set(tree) == {b for b in rs.roots if b[1] == 1}
     assert set(rs.weyl_orbit(rs.simple_roots)) == rs.roots
+
+
+def _orbit_cases(rs):
+    """(starts, nodes) pairs: the simple roots, a negative simple root, the
+    highest root and, where |W| is small, rho with Fraction coordinates, on
+    every node and on the Levi nodes of the first, a middle and the last
+    node."""
+    r = rs.rank
+    simple, theta = rs.simple_roots, rs.highest_root
+    cases = [(simple, None), ([tuple(-c for c in simple[-1])], None), ([theta], None)]
+    for i in sorted({0, r // 2, r - 1}):
+        levi = [j for j in range(r) if j != i]
+        cases += [([simple[i]], levi), ([tuple(-c for c in simple[i])], levi),
+                  ([theta], levi)]
+        if r <= 4:
+            cases.append(([rho(rs).root_coords], levi))
+    if r <= 4:
+        cases.append(([rho(rs).root_coords], None))
+    return cases
+
+
+ORBIT_TYPES = lie_types_up_to(8) + [LieType.parse(n) for n in ("A30", "B24", "D26", "D48")]
+
+
+@pytest.mark.parametrize("lie_type", ORBIT_TYPES, ids=str)
+def test_weyl_orbit_tree_matches_every_node_oracle(lie_type):
+    # same keys, parents and insertion order, so Weyl words do not change
+    rs = root_system(str(lie_type))
+    for starts, nodes in _orbit_cases(rs):
+        tree = rs.weyl_orbit(starts, nodes)
+        assert list(tree.items()) == list(weyl_orbit_by_every_node(rs, starts, nodes).items())
+
+
+@pytest.mark.parametrize("lie_type", ORBIT_TYPES, ids=str)
+def test_root_lengths_from_the_tree_match_the_form(lie_type):
+    rs = root_system(str(lie_type))
+    lengths = {alpha: rs.root_length(alpha) for alpha in rs.roots}
+    if rs.rank > 8 and lie_type.family in "AD":
+        # simply laced: one length, and the dense form is O(rank^2) a root
+        assert set(lengths.values()) == {1}
+        alphas = random.Random(f"lengths-{lie_type}").sample(sorted(rs.roots), 40)
+    else:
+        alphas = rs.roots
+    for alpha in alphas:
+        assert 2 * lengths[alpha] == bilinear_by_sym(rs, alpha, alpha)
+    r = rs.rank
+    for bad in ((0,) * r, tuple(2 * c for c in rs.highest_root),
+                (1, -1) + (0,) * (r - 2), (1,) * (r + 1)):
+        with pytest.raises(NotARoot):
+            rs.root_length(bad)
 
 
 # -- the Cartan classifier -----------------------------------------------------
