@@ -141,8 +141,8 @@ def search_sos(rs: RootSystem, E) -> SosSearchResult:
 def real_rank(rs: RootSystem, E) -> int:
     """Maximum size of a pairwise strongly orthogonal subset of Delta_n.
 
-    Restricting to positive noncompact roots is harmless: flipping the sign
-    of any member preserves strong orthogonality.
+    Restricting to positive noncompact roots is harmless (a sign flip keeps
+    strong orthogonality); orthogonal sets have at most ``rs.rank`` members.
     """
     verts = [b for b, v in zip(rs.positive_roots, root_values(rs, E)) if v % 2]
     n = len(verts)
@@ -163,7 +163,7 @@ def real_rank(rs: RootSystem, E) -> int:
             return
         if size + bin(pool).count("1") <= best:
             return
-        while pool:
+        while pool and best < rs.rank:
             if size + bin(pool).count("1") <= best:
                 return
             v = (pool & -pool).bit_length() - 1

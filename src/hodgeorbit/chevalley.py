@@ -13,10 +13,12 @@ is convention-invariant.
 
 Elements of g are sparse dicts over the basis (H^{alpha_1}, .., H^{alpha_r},
 x^alpha in root order, positives first, then their negatives in the same
-order).  Structure constants and the bracket table on basis indices are
-integers.  Elements handed out or taken in (the rational form, Cayley
-standard triples, sl2 matrices) carry Gaussian-rational scalars, so the
-compact real form stays exact.
+order).  The bracket table holds one integer row per basis index: ``ad[i][j]``
+is ((k, c), ...) with [e_i, e_j] = sum c e_k.  Mixed-sign N_{a,b} are read off
+the positive table: positive a != b differ by a root exactly when {a, b} =
+{x + y, x} for an entry N_{x,y}.  Elements handed out or taken in (the
+rational form, Cayley standard triples, sl2 matrices) carry Gaussian-rational
+scalars, so the compact real form stays exact.
 
 The rational form is verified in Gaussian integers: its members h^j, u^beta,
 v^beta have entries in {+-1, +-i}, so they are converted once to (re, im)
@@ -29,8 +31,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from functools import cache, cached_property
 from math import lcm
+from operator import add
 
 from .errors import CompactRoot, NotARoot
 from .grading import evaluate, root_values
@@ -83,9 +86,6 @@ class GaussianRational:
             raise ZeroDivisionError
         return self * GaussianRational(other.re / n, -other.im / n)
 
-    def conjugate(self):
-        return GaussianRational(self.re, -self.im)
-
     def __bool__(self):
         return bool(self.re or self.im)
 
@@ -126,6 +126,7 @@ class StructureConstants:
     def __init__(self, rs: RootSystem):
         self.rs = rs
         self._norm = {b: rs.bilinear(b, b) for b in rs.positive_roots}
+        self._neg = {b: tuple(-c for c in b) for b in rs.roots}
         self.n_table: dict = {}
         self._build_positive_table()
         self._extend_table()
@@ -195,48 +196,37 @@ class StructureConstants:
                 table[(b, a)] = -val
 
     def _extend_table(self):
-        """Fill N_{a,b} for all sign combinations with a + b a root."""
-        rs = self.rs
+        """Fill N_{a,b} for all sign combinations with a + b a root: positive
+        N_{x,y} gives N_{x+y,-x} = N_{x,-x-y} = -(y,y) N_{x,y} / (x+y,x+y)."""
+        norm, neg = self._norm, self._neg
         full = dict(self.n_table)
-        neg = lambda v: tuple(-x for x in v)
-        for a in rs.positive_roots:
-            for b in rs.positive_roots:
-                if a == b:
-                    continue
-                if rs.is_root(tuple(x - y for x, y in zip(a, b))):
-                    v = self._n_mixed(a, b)
-                    full[(a, neg(b))] = v
-                    full[(neg(b), a)] = -v
-                    full[(neg(a), b)] = -v
-                    full[(b, neg(a))] = v
-        for (a, b), v in list(full.items()):
-            full[(neg(a), neg(b))] = -v
+        for (x, y), n in self.n_table.items():
+            s = tuple(map(add, x, y))
+            v = _exact(-norm[y] * n, norm[s])
+            full[(s, neg[x])] = v
+            full[(neg[x], s)] = -v
+            full[(neg[s], x)] = -v
+            full[(x, neg[s])] = v
+            full[(neg[x], neg[y])] = -n
         self.n_table = full
 
     def _build_basis(self):
-        rs = self.rs
-        roots = list(rs.positive_roots) + [
-            tuple(-c for c in b) for b in rs.positive_roots
-        ]
-        self.root_index = {b: rs.rank + k for k, b in enumerate(roots)}
+        rs, neg = self.rs, self._neg
+        roots = list(rs.positive_roots) + [neg[b] for b in rs.positive_roots]
+        index = self.root_index = {b: rs.rank + k for k, b in enumerate(roots)}
         self.basis_roots = roots
         self.dim = rs.rank + len(roots)
-        # dense integer bracket table on basis indices: (i, j) -> [(k, coeff)]
-        table: dict = {}
-        for a, ia in self.root_index.items():
+        ad = self.ad = [{} for _ in range(self.dim)]
+        for a, ia in index.items():
             # [H^{alpha_j}, x^a] = a(H^{alpha_j}) x^a
             for j, pair in enumerate(rs.pairings(a)):
                 if pair:
-                    table[(j, ia)] = ((ia, pair),)
-                    table[(ia, j)] = ((ia, -pair),)
+                    ad[j][ia] = ((ia, pair),)
+                    ad[ia][j] = ((ia, -pair),)
             # [x^a, x^{-a}] = H^a
-            table[(ia, self.root_index[tuple(-c for c in a)])] = tuple(
-                (j, c) for j, c in enumerate(rs.coroot(a)) if c
-            )
+            ad[ia][index[neg[a]]] = tuple((j, c) for j, c in enumerate(rs.coroot(a)) if c)
         for (a, b), n in self.n_table.items():
-            s = tuple(x + y for x, y in zip(a, b))
-            table[(self.root_index[a], self.root_index[b])] = ((self.root_index[s], n),)
-        self.bracket_table = table
+            ad[index[a]][index[b]] = ((index[tuple(map(add, a, b))], n),)
         # Killing form closed-form data: B(H^i, H^j) = sum_g g(H^i) g(H^j),
         # twice the sum over the positive roots
         values = [root_values(rs, rs.coroot_s_coords(a)) for a in rs.simple_roots]
@@ -264,10 +254,11 @@ class StructureConstants:
         for i, ci in u.items():
             if not ci:
                 continue
+            row = self.ad[i]
             for j, cj in v.items():
                 if not cj:
                     continue
-                entry = self.bracket_table.get((i, j))
+                entry = row.get(j)
                 if not entry:
                     continue
                 c = ci * cj
@@ -280,11 +271,11 @@ class StructureConstants:
         return out
 
     def basis_bracket(self, i: int, j: int):
-        return self.bracket_table.get((i, j), ())
+        return self.ad[i].get(j, ())
 
     def killing(self, u: dict, v: dict):
         """B(u, v) = tr(ad u ad v), via the closed form on the basis."""
-        rs = self.rs
+        r, npos = self.rs.rank, len(self.rs.positive_roots)
         total = 0
         for i, ci in u.items():
             if not ci:
@@ -292,20 +283,19 @@ class StructureConstants:
             for j, cj in v.items():
                 if not cj:
                     continue
-                if i < rs.rank and j < rs.rank:
+                if i < r and j < r:
                     total = total + ci * cj * self.killing_h[i][j]
-                elif i >= rs.rank and j >= rs.rank:
-                    a = self.basis_roots[i - rs.rank]
-                    b = self.basis_roots[j - rs.rank]
-                    if all(x + y == 0 for x, y in zip(a, b)):
-                        h = self.rs.coroot(a)
-                        bhh = sum(
-                            h[s] * self.killing_h[s][t] * h[t]
-                            for s in range(rs.rank)
-                            for t in range(rs.rank)
-                        )
-                        total = total + ci * cj * Fraction(bhh, 2)
+                elif i >= r and j >= r and abs(i - j) == npos:
+                    # B(x^a, x^-a) = B(H^a, H^a) / 2
+                    total = total + ci * cj * self._coroot_norms[(i - r) % npos]
         return total
+
+    @cached_property
+    def _coroot_norms(self) -> tuple:
+        """B(H^a, H^a) / 2 = sum_{g > 0} g(H^a)^2 per positive a, on first use."""
+        rs = self.rs
+        values = (root_values(rs, rs.coroot_s_coords(a)) for a in rs.positive_roots)
+        return tuple(sum(g * g for g in row) for row in values)
 
 
 @cache
@@ -326,11 +316,20 @@ def adjoint_matrix(sc: StructureConstants, element: dict) -> list:
 
 def jacobi_residual(sc: StructureConstants, i: int, j: int, k: int) -> dict:
     """[x_i,[x_j,x_k]] + [x_j,[x_k,x_i]] + [x_k,[x_i,x_j]] on basis indices."""
-    table = sc.bracket_table
+    ad_i, ad_j, ad_k = sc.ad[i], sc.ad[j], sc.ad[k]
     out: dict = {}
-    for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
-        for m, n in table.get((b, c), ()):
-            for t, nt in table.get((a, m), ()):
+    # most basis pairs bracket to zero: a membership test is the cheap miss
+    if k in ad_j:
+        for m, n in ad_j[k]:
+            for t, nt in ad_i.get(m, ()):
+                out[t] = out.get(t, 0) + n * nt
+    if i in ad_k:
+        for m, n in ad_k[i]:
+            for t, nt in ad_j.get(m, ()):
+                out[t] = out.get(t, 0) + n * nt
+    if j in ad_i:
+        for m, n in ad_i[j]:
+            for t, nt in ad_k.get(m, ()):
                 out[t] = out.get(t, 0) + n * nt
     return {t: v for t, v in out.items() if v} if out else out
 
@@ -399,13 +398,14 @@ def _gaussian_integer_vectors(vecs):
     ]
 
 
-def _gaussian_bracket(table: dict, a, b) -> dict:
+def _gaussian_bracket(ad: list, a, b) -> dict:
     """Bracket of two (index, re, im) vectors through the integer bracket
-    table, as index -> (re, im)."""
+    rows, as index -> (re, im)."""
     out: dict = {}
     for i, ar, ai in a:
+        row = ad[i]
         for j, br, bi in b:
-            entry = table.get((i, j))
+            entry = row.get(j)
             if entry:
                 cr, ci = ar * br - ai * bi, ar * bi + ai * br
                 for k, n in entry:
@@ -480,10 +480,9 @@ def _verify_rational_form(sc: StructureConstants, basis: RationalFormBasis):
         members.append((p, basis.v[beta]))
     d, vecs = _gaussian_integer_vectors(vec for _, vec in members)
     blocks = [p for p, _ in members]
-    table = sc.bracket_table
     for pa, a in zip(blocks, vecs):
         for pb, b in zip(blocks, vecs):
-            br = _gaussian_bracket(table, a, b)
+            br = _gaussian_bracket(sc.ad, a, b)
             coords = _integral_coordinates(sc, basis.parity, br, d * d)
             if coords is None:
                 raise AssertionError("g_Z is not closed under the bracket")

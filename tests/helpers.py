@@ -11,7 +11,10 @@ is Sylvester's criterion with one determinant per leading minor, and the
 Jacobi sum is taken through dict brackets.  Diamonds are counted by dense
 evaluation over all of ``rs.roots``, with coroots from the dense form, and
 the boundary census is the per-set path: one diamond for every strongly
-orthogonal set.
+orthogonal set.  The real rank is the clique search with no bound on its
+size.  The Chevalley bracket table is rebuilt with tuple keys from the root
+data, and the mixed-sign structure constants come from visiting every
+ordered pair of positive roots.
 """
 
 from fractions import Fraction
@@ -26,7 +29,13 @@ from hodgeorbit.cayley import (
 )
 from hodgeorbit.grading import evaluate, grading_element_for
 from hodgeorbit.reps import rho, weight_from_fund
-from hodgeorbit.rootdata import RANK_BOUNDS, LieType, RootSystem, _cartan_data
+from hodgeorbit.rootdata import (
+    RANK_BOUNDS,
+    LieType,
+    RootSystem,
+    _cartan_data,
+    strongly_orthogonal,
+)
 
 
 def lie_types_up_to(max_rank):
@@ -348,3 +357,98 @@ def jacobi_residual_by_dicts(sc, i, j, k):
     acc(j, sc.basis_bracket(k, i))
     acc(k, sc.basis_bracket(i, j))
     return out
+
+
+def real_rank_unbounded(rs: RootSystem, E):
+    """The largest pairwise strongly orthogonal set of positive roots with
+    beta(E) odd, by a clique search that runs until its pool is exhausted,
+    where the library stops once a set reaches the rank."""
+    verts = [b for b in rs.positive_roots if evaluate(b, E) % 2]
+    n = len(verts)
+    adj = [0] * n
+    for i in range(n):
+        for j in range(n):
+            if i != j and strongly_orthogonal(rs, verts[i], verts[j]):
+                adj[i] |= 1 << j
+    order = sorted(range(n), key=lambda i: -bin(adj[i]).count("1"))
+    radj = [0] * n
+    for i in range(n):
+        for j in range(n):
+            if adj[order[i]] >> order[j] & 1:
+                radj[i] |= 1 << j
+    best = 0
+
+    def expand(size, pool):
+        nonlocal best
+        if pool == 0:
+            best = max(best, size)
+            return
+        while pool:
+            if size + bin(pool).count("1") <= best:
+                return
+            v = (pool & -pool).bit_length() - 1
+            pool &= ~(1 << v)
+            expand(size + 1, pool & radj[v])
+
+    expand(0, (1 << n) - 1)
+    return best
+
+
+def _negate(v):
+    return tuple(-x for x in v)
+
+
+def bracket_table_by_roots(sc):
+    """{(i, j): ((k, c), ...)} for every nonzero bracket [e_i, e_j] of basis
+    vectors, keyed by index pairs and rebuilt from ``sc.n_table``,
+    ``rs.pairings``, ``rs.coroot`` and ``sc.root_index``."""
+    rs = sc.rs
+    index = sc.root_index
+    table = {}
+    for a, ia in index.items():
+        for j, pair in enumerate(rs.pairings(a)):
+            if pair:
+                table[(j, ia)] = ((ia, pair),)
+                table[(ia, j)] = ((ia, -pair),)
+        table[(ia, index[_negate(a)])] = tuple(
+            (j, c) for j, c in enumerate(rs.coroot(a)) if c
+        )
+    for (a, b), n in sc.n_table.items():
+        s = tuple(x + y for x, y in zip(a, b))
+        table[(index[a], index[b])] = ((index[s], n),)
+    return table
+
+
+def extend_by_root_pairs(sc):
+    """N_{a,b} for every sign combination, from the positive-root entries of
+    ``sc.n_table``: every ordered pair of distinct positive roots a, b with a
+    root difference gets N_{a,-b} by the cyclic relation, with the norms
+    taken through the dense form; then N_{-a,-b} = -N_{a,b}."""
+    rs = sc.rs
+    positive = {
+        (a, b): n for (a, b), n in sc.n_table.items() if sum(a) > 0 and sum(b) > 0
+    }
+    full = dict(positive)
+    norm = {b: bilinear_by_sym(rs, b, b) for b in rs.positive_roots}
+
+    def mixed(a, b):  # N_{a,-b}
+        diff = tuple(x - y for x, y in zip(a, b))
+        if sum(diff) > 0:
+            q = Fraction(-norm[diff] * positive[(b, diff)], norm[a])
+        else:
+            delta = _negate(diff)
+            q = Fraction(norm[delta] * positive[(delta, a)], norm[b])
+        assert q.denominator == 1, (a, b)
+        return int(q)
+
+    for a in rs.positive_roots:
+        for b in rs.positive_roots:
+            if a != b and rs.is_root(tuple(x - y for x, y in zip(a, b))):
+                v = mixed(a, b)
+                full[(a, _negate(b))] = v
+                full[(_negate(b), a)] = -v
+                full[(_negate(a), b)] = -v
+                full[(b, _negate(a))] = v
+    for (a, b), v in list(full.items()):
+        full[(_negate(a), _negate(b))] = -v
+    return full

@@ -1,7 +1,12 @@
 import random
 
 import pytest
-from helpers import bigrading_by_roots, census_by_sets, lie_types_up_to
+from helpers import (
+    bigrading_by_roots,
+    census_by_sets,
+    lie_types_up_to,
+    real_rank_unbounded,
+)
 
 from hodgeorbit.cayley import (
     bigrading,
@@ -23,7 +28,7 @@ from hodgeorbit.cayley import (
 from hodgeorbit.errors import InvalidSOS, NotFundamentalAdjoint
 from hodgeorbit.grading import grading_element_for, is_fundamental_adjoint
 from hodgeorbit.reps import fundamental_weights, weight_from_root
-from hodgeorbit.rootdata import conjugate_root, root_system
+from hodgeorbit.rootdata import build_root_system, conjugate_root, root_system
 
 # Table rows: (c, mu) classes of the boundary census per type
 CENSUS_EXPECTED = {
@@ -99,6 +104,20 @@ def test_real_rank_values():
     for name, node, expected in cases:
         rs = root_system(name)
         assert real_rank(rs, grading_element_for(rs, {node})) == expected
+
+
+def test_real_rank_matches_unbounded_search():
+    for lie_type in lie_types_up_to(8):
+        rs = build_root_system(lie_type)
+        for node in range(1, rs.rank + 1):
+            E = grading_element_for(rs, {node})
+            assert real_rank(rs, E) == real_rank_unbounded(rs, E), (lie_type, node)
+
+
+def test_real_rank_stops_at_the_rank():
+    # 128 noncompact positive roots; the unbounded search takes tens of seconds
+    rs = root_system("D16")
+    assert real_rank(rs, grading_element_for(rs, {8})) == 16
 
 
 def test_remark_sets_validate():

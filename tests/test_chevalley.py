@@ -32,7 +32,13 @@ from hodgeorbit.errors import CompactRoot
 from hodgeorbit.grading import evaluate
 from hodgeorbit.rootdata import root_system
 
-from helpers import definite_by_sylvester, jacobi_residual_by_dicts
+from helpers import (
+    bracket_table_by_roots,
+    definite_by_sylvester,
+    extend_by_root_pairs,
+    jacobi_residual_by_dicts,
+    lie_types_up_to,
+)
 
 EXHAUSTIVE_TYPES = ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C3", "C4",
                     "D4", "F4", "G2"]
@@ -81,6 +87,23 @@ def test_structure_constant_symmetries():
         assert sc.n_table[(na, nb)] == -n
     assert abs(sc.n_table[((1, 0), (0, 1))]) == 1
     assert abs(sc.n_table[((1, 0), (1, 1))]) == 2
+
+
+ORACLE_TYPES = [str(t) for t in lie_types_up_to(8)]
+
+
+@pytest.mark.parametrize("name", ORACLE_TYPES)
+def test_bracket_rows_match_tuple_keyed_table(name):
+    sc = _sc(name)
+    flat = {(i, j): entry for i, row in enumerate(sc.ad) for j, entry in row.items()}
+    assert flat == bracket_table_by_roots(sc)
+    assert all(sc.basis_bracket(i, j) == entry for (i, j), entry in flat.items())
+
+
+@pytest.mark.parametrize("name", ORACLE_TYPES)
+def test_n_table_matches_extension_over_root_pairs(name):
+    sc = _sc(name)
+    assert sc.n_table == extend_by_root_pairs(sc)
 
 
 def test_jacobi_exhaustive_small_ranks():
@@ -132,7 +155,7 @@ def test_adjoint_highest_root_nilpotent_order_three():
 
 
 def test_killing_form_matches_trace_form():
-    for name in ["A1", "A2", "G2"]:
+    for name in ["A1", "A2", "G2", "B3", "C3"]:
         sc = _sc(name)
         basis = [{k: 1} for k in range(sc.dim)]
         mats = [adjoint_matrix(sc, v) for v in basis]
@@ -328,10 +351,10 @@ def test_jacobi_residual_matches_dict_oracle():
 
 def test_jacobi_residual_matches_dict_oracle_on_corrupted_table():
     sc = copy.copy(_sc("G2"))
-    sc.bracket_table = dict(sc.bracket_table)
+    sc.ad = [dict(row) for row in sc.ad]
     a, b = sc.root_index[(1, 0)], sc.root_index[(0, 1)]
-    ((target, n),) = sc.bracket_table[(a, b)]
-    sc.bracket_table[(a, b)] = ((target, n + 1),)
+    ((target, n),) = sc.ad[a][b]
+    sc.ad[a][b] = ((target, n + 1),)
     nonzero = 0
     for i, j, k in itertools.product(range(sc.dim), repeat=3):
         got = jacobi_residual(sc, i, j, k)
