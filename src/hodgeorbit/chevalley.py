@@ -11,20 +11,25 @@ constants follow from the Jacobi identity and the cyclic relation
 Any consistent sign convention would do; every property asserted downstream
 is convention-invariant.
 
+The table is built in one walk over the positive roots in that order: at
+gamma the extraspecial constant is set, then the other decompositions are
+solved from constants of lower height.  Each N_{x,y} is recorded once, with
+N_{y,x}, N_{-x,-y} and the mixed-sign constants of the cyclic relation.
+
 Elements of g are sparse dicts over the basis (H^{alpha_1}, .., H^{alpha_r},
 x^alpha in root order, positives first, then their negatives in the same
 order).  The bracket table holds one integer row per basis index: ``ad[i][j]``
-is ((k, c), ...) with [e_i, e_j] = sum c e_k.  Mixed-sign N_{a,b} are read off
-the positive table: positive a != b differ by a root exactly when {a, b} =
-{x + y, x} for an entry N_{x,y}.  Elements handed out or taken in (the
-rational form, Cayley standard triples, sl2 matrices) carry Gaussian-rational
-scalars, so the compact real form stays exact.
+is ((k, c), ...) with [e_i, e_j] = sum c e_k, written beside ``n_table`` as
+each constant is recorded.  Elements handed out or taken in (the rational
+form, Cayley standard triples, sl2 matrices) carry Gaussian-rational scalars,
+so the compact real form stays exact.
 
 The rational form is verified in Gaussian integers: its members h^j, u^beta,
 v^beta have entries in {+-1, +-i}, so they are converted once to (re, im)
 integer pairs and bracketed through the integer table.  Reading a bracket
 back in the integral basis visits only its nonzero entries, each +-beta pair
 once, so a verified bracket costs O(nnz) and integrality is a parity test.
+The Killing Gram matrices are integer too, on the same vectors.
 """
 
 from __future__ import annotations
@@ -33,7 +38,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
 from math import lcm
-from operator import add
 
 from .errors import CompactRoot, NotARoot
 from .grading import evaluate, root_values
@@ -125,114 +129,91 @@ class StructureConstants:
 
     def __init__(self, rs: RootSystem):
         self.rs = rs
-        self._norm = {b: rs.bilinear(b, b) for b in rs.positive_roots}
-        self._neg = {b: tuple(-c for c in b) for b in rs.roots}
-        self.n_table: dict = {}
-        self._build_positive_table()
-        self._extend_table()
-        self._build_basis()
-
-    # magnitudes: |N_{a,b}| = p + 1 with p the a-string length below b
-    def _string_down(self, a, b) -> int:
-        rs = self.rs
-        p = 0
-        cur = b
-        while True:
-            cur = tuple(x - y for x, y in zip(cur, a))
-            if not rs.is_root(cur):
-                return p
-            p += 1
-
-    def _n_mixed(self, a, b) -> int:
-        """N_{a, -b} for positive roots a != b with a - b a root, from the
-        positive-root entries of ``n_table`` by the cyclic relation."""
-        norm = self._norm
-        diff = tuple(x - y for x, y in zip(a, b))
-        if sum(diff) > 0:
-            # cyclic with c = -(a - b)
-            return _exact(-norm[diff] * self.n_table[(b, diff)], norm[a])
-        delta = tuple(-x for x in diff)
-        return _exact(norm[delta] * self.n_table[(delta, a)], norm[b])
-
-    def _build_positive_table(self):
-        rs = self.rs
-        table = self.n_table
-
-        def key(root):
-            return (sum(root), root)
-
-        for gamma in rs.positive_roots:
-            if sum(gamma) < 2:
-                continue
-            pairs = []
-            for a in rs.positive_roots:
-                if key(a) >= key(gamma):
-                    break
-                b = tuple(x - y for x, y in zip(gamma, a))
-                if rs.is_root(b) and sum(b) > 0 and key(a) <= key(b):
-                    pairs.append((a, b))
-            pairs.sort(key=lambda ab: key(ab[0]))
-            eps, eta = pairs[0]
-            n_extra = self._string_down(eps, eta) + 1
-            table[(eps, eta)] = n_extra
-            table[(eta, eps)] = -n_extra
-            # N_{gamma, -eps} via the cyclic relation
-            n_gamma_meps = _exact(-self._norm[eta] * n_extra, self._norm[gamma])
-            for a, b in pairs[1:]:
-                term = 0
-                a_eps = tuple(x - y for x, y in zip(a, eps))
-                if rs.is_root(a_eps):
-                    term += self._n_mixed(a, eps) * table[(a_eps, b)]
-                b_eps = tuple(x - y for x, y in zip(b, eps))
-                if rs.is_root(b_eps):
-                    term += self._n_mixed(b, eps) * table[(a, b_eps)]
-                val = _exact(term, n_gamma_meps)
-                expected = self._string_down(a, b) + 1
-                if abs(val) != expected:
-                    raise AssertionError(
-                        f"|N| = {abs(val)} != string length {expected} at {a}+{b}"
-                    )
-                table[(a, b)] = val
-                table[(b, a)] = -val
-
-    def _extend_table(self):
-        """Fill N_{a,b} for all sign combinations with a + b a root: positive
-        N_{x,y} gives N_{x+y,-x} = N_{x,-x-y} = -(y,y) N_{x,y} / (x+y,x+y)."""
-        norm, neg = self._norm, self._neg
-        full = dict(self.n_table)
-        for (x, y), n in self.n_table.items():
-            s = tuple(map(add, x, y))
-            v = _exact(-norm[y] * n, norm[s])
-            full[(s, neg[x])] = v
-            full[(neg[x], s)] = -v
-            full[(neg[s], x)] = -v
-            full[(x, neg[s])] = v
-            full[(neg[x], neg[y])] = -n
-        self.n_table = full
-
-    def _build_basis(self):
-        rs, neg = self.rs, self._neg
-        roots = list(rs.positive_roots) + [neg[b] for b in rs.positive_roots]
-        index = self.root_index = {b: rs.rank + k for k, b in enumerate(roots)}
-        self.basis_roots = roots
-        self.dim = rs.rank + len(roots)
+        positive = rs.positive_roots
+        r, npos = rs.rank, len(positive)
+        self._norm = {b: rs.bilinear(b, b) for b in positive}
+        self._neg = neg = {b: tuple(-c for c in b) for b in rs.roots}
+        self.basis_roots = list(positive) + [neg[b] for b in positive]
+        self.root_index = {b: r + k for k, b in enumerate(self.basis_roots)}
+        self.dim = r + 2 * npos
         ad = self.ad = [{} for _ in range(self.dim)]
-        for a, ia in index.items():
-            # [H^{alpha_j}, x^a] = a(H^{alpha_j}) x^a
+        for k, a in enumerate(positive):
+            ia, ineg = r + k, r + npos + k
+            # [H^{alpha_j}, x^{+-a}] = +-a(H^{alpha_j}) x^{+-a}
             for j, pair in enumerate(rs.pairings(a)):
                 if pair:
-                    ad[j][ia] = ((ia, pair),)
-                    ad[ia][j] = ((ia, -pair),)
-            # [x^a, x^{-a}] = H^a
-            ad[ia][index[neg[a]]] = tuple((j, c) for j, c in enumerate(rs.coroot(a)) if c)
-        for (a, b), n in self.n_table.items():
-            ad[index[a]][index[b]] = ((index[tuple(map(add, a, b))], n),)
+                    ad[j][ia], ad[ia][j] = ((ia, pair),), ((ia, -pair),)
+                    ad[j][ineg], ad[ineg][j] = ((ineg, -pair),), ((ineg, pair),)
+            # [x^a, x^{-a}] = H^a = -[x^{-a}, x^a]
+            coroot = tuple((j, c) for j, c in enumerate(rs.coroot(a)) if c)
+            ad[ia][ineg], ad[ineg][ia] = coroot, tuple((j, -c) for j, c in coroot)
+        self.n_table: dict = {}
+        self._build_table()
         # Killing form closed-form data: B(H^i, H^j) = sum_g g(H^i) g(H^j),
         # twice the sum over the positive roots
         values = [root_values(rs, rs.coroot_s_coords(a)) for a in rs.simple_roots]
         self.killing_h = tuple(
             tuple(2 * sum(a * b for a, b in zip(vi, vj)) for vj in values) for vi in values
         )
+
+    def _string_length(self, a, b) -> int:
+        """|N_{a,b}| = p + 1 with p the length of the a-string below b."""
+        n, cur = 1, tuple(x - y for x, y in zip(b, a))
+        while cur in self.rs.roots:
+            n, cur = n + 1, tuple(x - y for x, y in zip(cur, a))
+        return n
+
+    def _build_table(self):
+        """One walk over the positive roots gamma in (height, coords) order.
+        The decompositions gamma = a + b (a before b) come in ascending a, so
+        the first is extraspecial; the others follow from the Jacobi identity
+        on x^a, x^b, x^{-eps} through constants of lower height."""
+        table, neg = self.n_table, self._neg
+        positive = self.rs.positive_roots
+        pos = {b: k for k, b in enumerate(positive)}
+        for gamma in positive:
+            height = sum(gamma)
+            pairs = []
+            for a in positive:
+                if 2 * sum(a) > height:
+                    break
+                b = tuple(x - y for x, y in zip(gamma, a))
+                if b in pos and pos[a] < pos[b]:
+                    pairs.append((a, b))
+            if not pairs:
+                continue  # gamma is simple
+            eps, eta = pairs[0]
+            self._record(eps, eta, gamma, self._string_length(eps, eta))
+            n_gamma_meps = table[(gamma, neg[eps])]
+            for a, b in pairs[1:]:
+                # N_{c,d} = 0 when c + d is not a root
+                a_eps = tuple(x - y for x, y in zip(a, eps))
+                b_eps = tuple(x - y for x, y in zip(b, eps))
+                term = table.get((a, neg[eps]), 0) * table.get((a_eps, b), 0)
+                term += table.get((b, neg[eps]), 0) * table.get((a, b_eps), 0)
+                val = _exact(term, n_gamma_meps)
+                if abs(val) != (expected := self._string_length(a, b)):
+                    raise AssertionError(
+                        f"|N| = {abs(val)} != string length {expected} at {a}+{b}"
+                    )
+                self._record(a, b, gamma, val)
+
+    def _record(self, x, y, s, n):
+        """N_{x,y} = n for positive x + y = s, written with its sign partners
+        into ``n_table`` and ``ad``: for (x, y, n) and (y, x, -n), N_{-x,-y} =
+        -n and, by the cyclic relation, N_{s,-x} = N_{x,-s} = -(y,y) n / (s,s)
+        with N_{-x,s} = N_{-s,x} their negatives."""
+        neg, norm, index = self._neg, self._norm, self.root_index
+        table, ad = self.n_table, self.ad
+        for x, y, n in ((x, y, n), (y, x, -n)):
+            v = _exact(-norm[y] * n, norm[s])
+            nx, ny, ns = neg[x], neg[y], neg[s]
+            for a, b, c, total in (
+                (x, y, n, s), (nx, ny, -n, ns),
+                (s, nx, v, y), (nx, s, -v, y), (ns, x, -v, ny), (x, ns, v, ny),
+            ):
+                table[(a, b)] = c
+                ad[index[a]][index[b]] = ((index[total], c),)
 
     # -- element algebra ----------------------------------------------------
 
@@ -275,20 +256,23 @@ class StructureConstants:
 
     def killing(self, u: dict, v: dict):
         """B(u, v) = tr(ad u ad v), via the closed form on the basis."""
-        r, npos = self.rs.rank, len(self.rs.positive_roots)
         total = 0
         for i, ci in u.items():
-            if not ci:
-                continue
             for j, cj in v.items():
-                if not cj:
-                    continue
-                if i < r and j < r:
-                    total = total + ci * cj * self.killing_h[i][j]
-                elif i >= r and j >= r and abs(i - j) == npos:
-                    # B(x^a, x^-a) = B(H^a, H^a) / 2
-                    total = total + ci * cj * self._coroot_norms[(i - r) % npos]
+                b = ci and cj and self._killing_basis(i, j)
+                if b:
+                    total = total + ci * cj * b
         return total
+
+    def _killing_basis(self, i: int, j: int) -> int:
+        """B(e_i, e_j) on basis indices: B(H^i, H^j) from ``killing_h``,
+        B(x^a, x^-a) = B(H^a, H^a) / 2, and 0 on every other pair."""
+        r, npos = self.rs.rank, len(self.rs.positive_roots)
+        if i < r and j < r:
+            return self.killing_h[i][j]
+        if i >= r and j >= r and abs(i - j) == npos:
+            return self._coroot_norms[(i - r) % npos]
+        return 0
 
     @cached_property
     def _coroot_norms(self) -> tuple:
@@ -501,35 +485,37 @@ def _verify_rational_form(sc: StructureConstants, basis: RationalFormBasis):
         if image != expected:
             raise AssertionError("theta has the wrong sign on a block")
     # Killing form: negative definite on k_Z, positive definite on k_Z^perp
+    # (the grams of the scaled vectors are d^2 times the true ones)
     for block, sign in ((0, -1), (1, 1)):
-        gram = _killing_gram(sc, [vec for p, vec in members if p == block])
+        gram = _killing_gram(sc, [vec for p, vec in zip(blocks, vecs) if p == block])
         if not _definite(gram, sign):
             raise AssertionError("Killing form has the wrong signature")
 
 
 def _killing_gram(sc: StructureConstants, vecs) -> list:
-    """The Gram matrix of B on ``vecs``.  B(x^a, x^b) = 0 unless b = -a and
+    """The Gram matrix of B on ``vecs``, each a tuple of (index, re, im)
+    Gaussian-integer triples, in integers.  B(x^a, x^b) = 0 unless b = -a and
     B(H, x^a) = 0, so only vectors sharing the Cartan part or a support
-    +-beta are paired; every other entry is the exact 0."""
+    +-beta are paired; every other entry is 0."""
     r, npos = sc.rs.rank, len(sc.rs.positive_roots)
     gram = [[0] * len(vecs) for _ in vecs]
     sharing: dict = {}  # -1 for the Cartan part, m for +-beta_m -> members
     for a, vec in enumerate(vecs):
-        for part in {-1 if k < r else (k - r) % npos for k in vec}:
+        for part in {-1 if k < r else (k - r) % npos for k, _, _ in vec}:
             sharing.setdefault(part, []).append(a)
     for group in sharing.values():
         for a in group:
             for b in group:
-                gram[a][b] = _real_of(sc.killing(vecs[a], vecs[b]))
+                re = im = 0
+                for i, ar, ai in vecs[a]:
+                    for j, br, bi in vecs[b]:
+                        c = sc._killing_basis(i, j)
+                        re += c * (ar * br - ai * bi)
+                        im += c * (ar * bi + ai * br)
+                if im:
+                    raise AssertionError("Killing value should be real")
+                gram[a][b] = re
     return gram
-
-
-def _real_of(value):
-    if isinstance(value, GaussianRational):
-        if value.im != 0:
-            raise AssertionError("Killing value should be real")
-        return value.re
-    return Fraction(value)
 
 
 def _definite(gram, sign) -> bool:
@@ -747,30 +733,22 @@ def g2_seven_dim_rep() -> dict:
                 tuple(Fraction(pairings[i][j] if i == jj else 0) for jj in range(7))
                 for i in range(7)
             )
-        # extend to the full basis with extraspecial decompositions
-        order = sorted(rs.positive_roots, key=lambda b: (sum(b), b))
-        for gamma in order:
+        # extend to the full basis: x^{+-gamma} = [x^{+-eps}, x^{+-rest}] / N
+        # for the extraspecial pair (eps, rest) of gamma
+        neg = sc._neg
+        for gamma in rs.positive_roots:
             if sum(gamma) < 2:
                 continue
-            for eps in order:
+            for eps in rs.positive_roots:
                 rest = tuple(x - y for x, y in zip(gamma, eps))
                 if rs.is_root(rest) and sum(rest) > 0:
                     break
-            n = sc.n_table[(eps, rest)]
-            ig, ie, ir = (
-                sc.root_index[gamma],
-                sc.root_index[eps],
-                sc.root_index[rest],
-            )
-            if ie not in mats or ir not in mats:
-                return None
-            mats[ig] = _matscale(Fraction(1, n), _commutator(mats[ie], mats[ir]))
-            nge, nre = tuple(-c for c in eps), tuple(-c for c in rest)
-            nn = sc.n_table[(nge, nre)]
-            mats[sc.root_index[tuple(-c for c in gamma)]] = _matscale(
-                Fraction(1, nn),
-                _commutator(mats[sc.root_index[nge]], mats[sc.root_index[nre]]),
-            )
+            for g, a, b in ((gamma, eps, rest), (neg[gamma], neg[eps], neg[rest])):
+                ia, ib = sc.root_index[a], sc.root_index[b]
+                if ia not in mats or ib not in mats:
+                    return None
+                bracket = _commutator(mats[ia], mats[ib])
+                mats[sc.root_index[g]] = _matscale(Fraction(1, sc.n_table[(a, b)]), bracket)
         # homomorphism check on every basis pair
         zero = tuple(tuple(Fraction(0) for _ in range(7)) for _ in range(7))
         for a in range(sc.dim):

@@ -14,7 +14,9 @@ the boundary census is the per-set path: one diamond for every strongly
 orthogonal set.  The real rank is the clique search with no bound on its
 size.  The Chevalley bracket table is rebuilt with tuple keys from the root
 data, and the mixed-sign structure constants come from visiting every
-ordered pair of positive roots.
+ordered pair of positive roots.  The whole structure-constant table is also
+rebuilt in three passes: the positive constants, then the mixed-sign ones,
+then their negatives.
 """
 
 from fractions import Fraction
@@ -398,9 +400,9 @@ def _negate(v):
     return tuple(-x for x in v)
 
 
-def bracket_table_by_roots(sc):
+def bracket_table_by_roots(sc, n_table):
     """{(i, j): ((k, c), ...)} for every nonzero bracket [e_i, e_j] of basis
-    vectors, keyed by index pairs and rebuilt from ``sc.n_table``,
+    vectors, keyed by index pairs and rebuilt from ``n_table``,
     ``rs.pairings``, ``rs.coroot`` and ``sc.root_index``."""
     rs = sc.rs
     index = sc.root_index
@@ -413,7 +415,7 @@ def bracket_table_by_roots(sc):
         table[(ia, index[_negate(a)])] = tuple(
             (j, c) for j, c in enumerate(rs.coroot(a)) if c
         )
-    for (a, b), n in sc.n_table.items():
+    for (a, b), n in n_table.items():
         s = tuple(x + y for x, y in zip(a, b))
         table[(index[a], index[b])] = ((index[s], n),)
     return table
@@ -452,3 +454,87 @@ def extend_by_root_pairs(sc):
     for (a, b), v in list(full.items()):
         full[(_negate(a), _negate(b))] = -v
     return full
+
+
+def _string_down(rs: RootSystem, a, b):
+    """The length of the a-string below b."""
+    p = 0
+    cur = tuple(x - y for x, y in zip(b, a))
+    while rs.is_root(cur):
+        p += 1
+        cur = tuple(x - y for x, y in zip(cur, a))
+    return p
+
+
+def n_table_by_three_passes(rs: RootSystem):
+    """N_{a,b} for every pair of roots with a + b a root, keyed by root
+    tuples, in three passes: the positive constants root by root (the
+    extraspecial pair first, the rest from the Jacobi identity with the
+    mixed constants recomputed by the cyclic relation), then N_{s,-x} and
+    N_{x,-s} for every positive entry, then N_{-x,-y} = -N_{x,y}.  Norms
+    come from the dense form."""
+    norm = {b: bilinear_by_sym(rs, b, b) for b in rs.positive_roots}
+    table = {}
+
+    def key(root):
+        return (sum(root), root)
+
+    def sub(a, b):
+        return tuple(x - y for x, y in zip(a, b))
+
+    def exact(num, den):
+        q = Fraction(num, den)
+        assert q.denominator == 1, (num, den)
+        return int(q)
+
+    def mixed(a, b):  # N_{a,-b} for positive a != b with a - b a root
+        diff = sub(a, b)
+        if sum(diff) > 0:
+            return exact(-norm[diff] * table[(b, diff)], norm[a])
+        delta = _negate(diff)
+        return exact(norm[delta] * table[(delta, a)], norm[b])
+
+    for gamma in rs.positive_roots:
+        if sum(gamma) < 2:
+            continue
+        pairs = []
+        for a in rs.positive_roots:
+            if key(a) >= key(gamma):
+                break
+            b = sub(gamma, a)
+            if rs.is_root(b) and sum(b) > 0 and key(a) <= key(b):
+                pairs.append((a, b))
+        pairs.sort(key=lambda ab: key(ab[0]))
+        eps, eta = pairs[0]
+        n_extra = _string_down(rs, eps, eta) + 1
+        table[(eps, eta)] = n_extra
+        table[(eta, eps)] = -n_extra
+        n_gamma_meps = exact(-norm[eta] * n_extra, norm[gamma])
+        for a, b in pairs[1:]:
+            term = 0
+            if rs.is_root(sub(a, eps)):
+                term += mixed(a, eps) * table[(sub(a, eps), b)]
+            if rs.is_root(sub(b, eps)):
+                term += mixed(b, eps) * table[(a, sub(b, eps))]
+            val = exact(term, n_gamma_meps)
+            assert abs(val) == _string_down(rs, a, b) + 1, (a, b)
+            table[(a, b)] = val
+            table[(b, a)] = -val
+    full = dict(table)
+    for (x, y), n in table.items():
+        s = tuple(p + q for p, q in zip(x, y))
+        v = exact(-norm[y] * n, norm[s])
+        full[(s, _negate(x))] = v
+        full[(_negate(x), s)] = -v
+        full[(_negate(s), x)] = -v
+        full[(x, _negate(s))] = v
+        full[(_negate(x), _negate(y))] = -n
+    return full
+
+
+def real_of(value):
+    """A Killing value from ``sc.killing`` as an exact rational; it must be
+    real."""
+    im = getattr(value, "im", 0)
+    assert im == 0, value
+    return Fraction(getattr(value, "re", value))

@@ -24,8 +24,8 @@ from hodgeorbit.chevalley import (
 )
 from hodgeorbit.chevalley import (
     _definite,
+    _gaussian_integer_vectors,
     _killing_gram,
-    _real_of,
     _verify_rational_form,
 )
 from hodgeorbit.errors import CompactRoot
@@ -38,6 +38,8 @@ from helpers import (
     extend_by_root_pairs,
     jacobi_residual_by_dicts,
     lie_types_up_to,
+    n_table_by_three_passes,
+    real_of,
 )
 
 EXHAUSTIVE_TYPES = ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C3", "C4",
@@ -96,8 +98,17 @@ ORACLE_TYPES = [str(t) for t in lie_types_up_to(8)]
 def test_bracket_rows_match_tuple_keyed_table(name):
     sc = _sc(name)
     flat = {(i, j): entry for i, row in enumerate(sc.ad) for j, entry in row.items()}
-    assert flat == bracket_table_by_roots(sc)
+    assert flat == bracket_table_by_roots(sc, sc.n_table)
     assert all(sc.basis_bracket(i, j) == entry for (i, j), entry in flat.items())
+
+
+@pytest.mark.parametrize("name", ORACLE_TYPES)
+def test_one_pass_table_matches_three_pass_build(name):
+    sc = _sc(name)
+    oracle = n_table_by_three_passes(sc.rs)
+    assert sc.n_table == oracle
+    flat = {(i, j): entry for i, row in enumerate(sc.ad) for j, entry in row.items()}
+    assert flat == bracket_table_by_roots(sc, oracle)
 
 
 @pytest.mark.parametrize("name", ORACLE_TYPES)
@@ -233,7 +244,7 @@ def test_definite_rejects_negated_compact_gram():
     compact = list(rf.h) + [
         w for beta, p in rf.parity.items() if p == 0 for w in (rf.u[beta], rf.v[beta])
     ]
-    gram = [[_real_of(sc.killing(a, b)) for b in compact] for a in compact]
+    gram = [[real_of(sc.killing(a, b)) for b in compact] for a in compact]
     assert len(gram) == rf.compact_dim
     assert _definite(gram, -1)
     assert not _definite([[-x for x in row] for row in gram], -1)
@@ -257,15 +268,29 @@ def test_sparse_killing_gram_matches_dense(name):
     for _ in range(6):
         a, b = rng.sample(members, 2)
         mixed.append({k: a.get(k, 0) + b.get(k, 0) for k in a.keys() | b.keys()})
+    # and one halved member, so the common denominator d is 2
+    mixed.append({k: c / 2 for k, c in rng.choice(members).items()})
     vecs = members + mixed
     rng.shuffle(vecs)
-    dense = [[_real_of(sc.killing(a, b)) for b in vecs] for a in vecs]
-    assert _killing_gram(sc, vecs) == dense
+
+    def check(vecs):
+        # the integer gram of the scaled vectors is d^2 times the dense one
+        d, scaled = _gaussian_integer_vectors(vecs)
+        dense = [[real_of(sc.killing(a, b)) for b in vecs] for a in vecs]
+        assert _killing_gram(sc, scaled) == [[d * d * x for x in row] for row in dense]
+
+    check(vecs)
     for block in (0, 1):
-        vecs = [w for beta, p in rf.parity.items() if p == block
-                for w in (rf.u[beta], rf.v[beta])] + (list(rf.h) if block == 0 else [])
-        dense = [[_real_of(sc.killing(a, b)) for b in vecs] for a in vecs]
-        assert _killing_gram(sc, vecs) == dense
+        check([w for beta, p in rf.parity.items() if p == block
+               for w in (rf.u[beta], rf.v[beta])] + (list(rf.h) if block == 0 else []))
+
+
+def test_killing_gram_rejects_imaginary_value():
+    # B(x^a + i x^-a, x^a + i x^-a) = 2 i B(x^a, x^-a)
+    sc = _sc("G2")
+    ia, ineg = sc.root_index[(1, 0)], sc.root_index[(-1, 0)]
+    with pytest.raises(AssertionError, match="should be real"):
+        _killing_gram(sc, [((ia, 1, 0), (ineg, 0, 1))])
 
 
 def _symmetric_samples(rng):
