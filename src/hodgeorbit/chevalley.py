@@ -41,7 +41,7 @@ from math import lcm
 
 from .errors import CompactRoot, NotARoot
 from .grading import evaluate, root_values
-from .rootdata import RootSystem
+from .rootdata import LieType, RootSystem, build_root_system
 
 # -- Gaussian rationals -------------------------------------------------------
 
@@ -521,7 +521,7 @@ def _killing_gram(sc: StructureConstants, vecs) -> list:
 def _definite(gram, sign) -> bool:
     """Is sign * gram (exact, symmetric) positive definite?  Exactly when each
     connected block of nonzero entries is: for a Killing gram, the Cartan part
-    and one per +-beta.  Each block, scaled to integers, gets one fraction-free
+    and one per +-beta.  ``gram`` is integer; each block gets one fraction-free
     (Bareiss) pass whose k-th pivot is the k-th leading minor (Sylvester)."""
     near = [[j for j, x in enumerate(row) if x] for row in gram]
     seen = set()
@@ -533,11 +533,7 @@ def _definite(gram, sign) -> bool:
         for a in block:  # grows into the component of ``first``
             block += [b for b in near[a] if b not in seen]
             seen.update(near[a])
-        den = lcm(*(gram[a][b].denominator for a in block for b in near[a]))
-        m = [
-            [sign * gram[a][b].numerator * (den // gram[a][b].denominator) for b in block]
-            for a in block
-        ]
+        m = [[sign * gram[a][b] for b in block] for a in block]
         prev = 1
         for k, row in enumerate(m):
             pivot = row[k]
@@ -650,123 +646,83 @@ def _matmul(a, b):
     )
 
 
-def _matsub(a, b):
-    return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def _matadd(a, b):
-    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def _matscale(c, a):
-    return tuple(tuple(c * x for x in row) for row in a)
-
-
 def _commutator(a, b):
-    return _matsub(_matmul(a, b), _matmul(b, a))
+    ab, ba = _matmul(a, b), _matmul(b, a)
+    return tuple(tuple(x - y for x, y in zip(r, s)) for r, s in zip(ab, ba))
+
+
+#: the root directions x^{-beta} spanning g^{-1} for the grading E = S^2
+_G2_DIRECTIONS = ((0, -1), (-1, -1), (-2, -1), (-3, -1))
+
+
+def _g2():
+    rs = build_root_system(LieType("G", 2))
+    return rs, structure_constants(rs)
 
 
 @cache
 def g2_seven_dim_rep() -> dict:
     """Weight-basis matrices of the full g2 Chevalley basis on V7.
 
-    Lowering entries along the multiplicity-free sl2-strings are solved with
-    residual signs fixed by requiring all Chevalley-basis brackets to hold;
-    failure to find a consistent assignment is a hard error.
+    g2 is generated by its simple root vectors, so their matrices fix the
+    representation.  They are normalised along each alpha_i-string
+    v_0, .., v_n of ``G2_V7_WEIGHTS`` (top weight first):
+    x^{-alpha_i} v_k = v_{k+1} and x^{alpha_i} v_{k+1} = (k+1)(n-k) v_k.
+    H^{alpha_j} is diagonal with the weights' pairings.  Each non-simple
+    x^{+-gamma} is [x^{+-eps}, x^{+-eta}] / N_{+-eps,+-eta} for the
+    extraspecial pair (eps, eta) of gamma, so entries are integers except
+    the halves in x^{-(2,1)}, x^{-(3,1)} and x^{-(3,2)}.  Every
+    Chevalley-basis bracket is then checked on the matrices; a failure
+    raises AssertionError.
     """
-    from .rootdata import LieType, build_root_system
-
-    rs = build_root_system(LieType("G", 2))
-    sc = structure_constants(rs)
-    weights = G2_V7_WEIGHTS
-    w_index = {w: k for k, w in enumerate(weights)}
-    simples = rs.simple_roots
-    pairings = [rs.pairings(w) for w in weights]
-
-    # alpha_i strings through the weight diagram, top weight first
-    def strings(i):
-        a = simples[i]
-        tops = [
-            w
-            for w in weights
-            if tuple(x + y for x, y in zip(w, a)) not in w_index
-            and tuple(x - y for x, y in zip(w, a)) in w_index
-        ]
-        out = []
-        for top in tops:
-            chain = [top]
-            while True:
-                nxt = tuple(x - y for x, y in zip(chain[-1], a))
-                if nxt not in w_index:
-                    break
-                chain.append(nxt)
-            out.append(chain)
-        return out
-
-    all_strings = [strings(0), strings(1)]
-    slots = [
-        (i, si, k)
-        for i in range(2)
-        for si, chain in enumerate(all_strings[i])
-        for k in range(len(chain) - 1)
-    ]
-
-    def build(signs):
-        mats = {}
-        for i in range(2):
-            low = [[Fraction(0)] * 7 for _ in range(7)]
-            up = [[Fraction(0)] * 7 for _ in range(7)]
-            for si, chain in enumerate(all_strings[i]):
-                n = len(chain) - 1
-                cs = [signs[slots.index((i, si, k))] for k in range(n)]
-                for k in range(n):
-                    low[w_index[chain[k + 1]]][w_index[chain[k]]] = Fraction(cs[k])
-                    up[w_index[chain[k]]][w_index[chain[k + 1]]] = Fraction(
-                        (k + 1) * (n - k), cs[k]
-                    )
-            mats[sc.root_index[tuple(-c for c in simples[i])]] = tuple(
-                tuple(row) for row in low
+    rs, sc = _g2()
+    index = {w: k for k, w in enumerate(G2_V7_WEIGHTS)}
+    mats = {
+        j: tuple(
+            tuple(pair[j] if k == m else 0 for m in range(7))
+            for k, pair in enumerate(map(rs.pairings, G2_V7_WEIGHTS))
+        )
+        for j in range(rs.rank)
+    }
+    for a in rs.simple_roots:
+        up, low = [[0] * 7 for _ in range(7)], [[0] * 7 for _ in range(7)]
+        for top in G2_V7_WEIGHTS:
+            if tuple(x + y for x, y in zip(top, a)) in index:
+                continue  # not the top of its alpha-string
+            string = [top]
+            while (nxt := tuple(x - y for x, y in zip(string[-1], a))) in index:
+                string.append(nxt)
+            n = len(string) - 1
+            for k in range(n):
+                i, j = index[string[k]], index[string[k + 1]]
+                low[j][i], up[i][j] = 1, (k + 1) * (n - k)
+        mats[sc.root_index[a]] = tuple(map(tuple, up))
+        mats[sc.root_index[sc._neg[a]]] = tuple(map(tuple, low))
+    positive = set(rs.positive_roots)
+    for gamma in rs.positive_roots[rs.rank:]:
+        # the minimal eps is extraspecial; the positive roots ascend
+        eps = next(
+            e for e in rs.positive_roots
+            if tuple(x - y for x, y in zip(gamma, e)) in positive
+        )
+        eta = tuple(x - y for x, y in zip(gamma, eps))
+        for a, b in ((eps, eta), (sc._neg[eps], sc._neg[eta])):
+            ia, ib = sc.root_index[a], sc.root_index[b]
+            ((ig, n),) = sc.ad[ia][ib]
+            mats[ig] = tuple(
+                tuple(x // n if x % n == 0 else Fraction(x, n) for x in row)
+                for row in _commutator(mats[ia], mats[ib])
             )
-            mats[sc.root_index[simples[i]]] = tuple(tuple(row) for row in up)
-        for j in range(2):
-            mats[j] = tuple(
-                tuple(Fraction(pairings[i][j] if i == jj else 0) for jj in range(7))
+    for a in range(sc.dim):
+        for b in range(sc.dim):
+            terms = sc.ad[a].get(b, ())
+            expect = tuple(
+                tuple(sum(c * mats[k][i][j] for k, c in terms) for j in range(7))
                 for i in range(7)
             )
-        # extend to the full basis: x^{+-gamma} = [x^{+-eps}, x^{+-rest}] / N
-        # for the extraspecial pair (eps, rest) of gamma
-        neg = sc._neg
-        for gamma in rs.positive_roots:
-            if sum(gamma) < 2:
-                continue
-            for eps in rs.positive_roots:
-                rest = tuple(x - y for x, y in zip(gamma, eps))
-                if rs.is_root(rest) and sum(rest) > 0:
-                    break
-            for g, a, b in ((gamma, eps, rest), (neg[gamma], neg[eps], neg[rest])):
-                ia, ib = sc.root_index[a], sc.root_index[b]
-                if ia not in mats or ib not in mats:
-                    return None
-                bracket = _commutator(mats[ia], mats[ib])
-                mats[sc.root_index[g]] = _matscale(Fraction(1, sc.n_table[(a, b)]), bracket)
-        # homomorphism check on every basis pair
-        zero = tuple(tuple(Fraction(0) for _ in range(7)) for _ in range(7))
-        for a in range(sc.dim):
-            for b in range(sc.dim):
-                expect = zero
-                for k, coeff in sc.basis_bracket(a, b):
-                    expect = _matadd(expect, _matscale(Fraction(coeff), mats[k]))
-                if _commutator(mats[a], mats[b]) != expect:
-                    return None
-        return mats
-
-    from itertools import product
-
-    for signs in product((1, -1), repeat=len(slots)):
-        mats = build(signs)
-        if mats is not None:
-            return mats
-    raise AssertionError("no consistent sign assignment for the V7 matrices")
+            if _commutator(mats[a], mats[b]) != expect:
+                raise AssertionError(f"V7 matrices break the bracket of basis {a}, {b}")
+    return mats
 
 
 def g2_rep_matrix(element: dict):
@@ -783,13 +739,9 @@ def g2_rep_matrix(element: dict):
 
 
 def _g2_xi_element(xi) -> dict:
-    from .rootdata import LieType, build_root_system
-
-    rs = build_root_system(LieType("G", 2))
-    sc = structure_constants(rs)
-    directions = ((0, -1), (-1, -1), (-2, -1), (-3, -1))
+    _, sc = _g2()
     out = {}
-    for c, beta in zip(xi, directions):
+    for c, beta in zip(xi, _G2_DIRECTIONS):
         c = Fraction(c)
         if c:
             out[sc.root_index[beta]] = c
@@ -811,10 +763,7 @@ def g2_yukawa_matrix(xi):
 
 def g2_second_fundamental_form(xi) -> dict:
     """(ad xi)^2 applied to the highest root vector; lands in g^0."""
-    from .rootdata import LieType, build_root_system
-
-    rs = build_root_system(LieType("G", 2))
-    sc = structure_constants(rs)
+    rs, sc = _g2()
     el = _g2_xi_element(xi)
     v = sc.x(rs.highest_root)
     out = sc.bracket(el, sc.bracket(el, v))
@@ -832,10 +781,7 @@ def g2_cubic_cone_point(t):
     ad x^{-alpha_1} is nilpotent on g^{-1}, so the exponential is the exact
     polynomial sum; the resulting curve sweeps out the twisted cubic C_o.
     """
-    from .rootdata import LieType, build_root_system
-
-    rs = build_root_system(LieType("G", 2))
-    sc = structure_constants(rs)
+    _, sc = _g2()
     t = Fraction(t)
     lower = sc.x((-1, 0))
     cur = sc.x((0, -1))
@@ -846,5 +792,4 @@ def g2_cubic_cone_point(t):
         fact *= k
         for idx, c in cur.items():
             total[idx] = total.get(idx, 0) + c * t**k / fact
-    directions = ((0, -1), (-1, -1), (-2, -1), (-3, -1))
-    return tuple(total.get(sc.root_index[b], Fraction(0)) for b in directions)
+    return tuple(total.get(sc.root_index[b], Fraction(0)) for b in _G2_DIRECTIONS)

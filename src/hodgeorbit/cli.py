@@ -192,20 +192,24 @@ def tables(emit_all, table_id, out_dir, fmt):
     except ValueError as exc:
         click.echo(f"bad setting: {exc}", err=True)
         sys.exit(2)
+    # every table is rendered before any file is opened, so a failing run
+    # leaves the out directory as it was
+    try:
+        texts = [render_table(tid) for tid in ids]
+    except HodgeOrbitError as exc:
+        click.echo(f"invalid input: {exc}", err=True)
+        sys.exit(3)
     written = []
     try:
         os.makedirs(out_dir, exist_ok=True)
-        for tid in ids:
+        for tid, text in zip(ids, texts):
             path = os.path.join(out_dir, f"{tid}.tsv")
             with open(path, "w", encoding="utf-8", newline="\n") as fh:
-                fh.write(render_table(tid))
+                fh.write(text)
             written.append(path)
     except OSError as exc:
         click.echo(f"IO failure: {exc}", err=True)
         sys.exit(4)
-    except HodgeOrbitError as exc:
-        click.echo(f"invalid input: {exc}", err=True)
-        sys.exit(3)
     if fmt == "json":
         click.echo(
             json.dumps(

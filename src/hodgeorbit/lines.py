@@ -19,8 +19,7 @@ from dataclasses import dataclass
 
 from .errors import NotDegreeOne, NotMaximalParabolic
 from .grading import evaluate, grading_element_for
-from .reps import weight_from_fund
-from .rootdata import RootSystem, cartan_type, coroot_pairing
+from .rootdata import RootSystem, cartan_type
 
 #: classical names for the C_o of the fundamental adjoint varieties
 CO_CLASSICAL_NAMES = {
@@ -112,7 +111,7 @@ def co_membership_root_direction(rs: RootSystem, I, beta) -> bool:
     E = grading_element_for(rs, I)
     if evaluate(beta, E) != 1:
         raise NotDegreeOne(f"{beta} has E-value {evaluate(beta, E)}, need 1")
-    mu = weight_from_fund(
-        rs, tuple(1 if j + 1 in set(I) else 0 for j in range(rs.rank))
-    )
-    return coroot_pairing(rs, mu.root_coords, beta) <= 1
+    # mu = sum_{i in I} omega_i and omega_i(H^{alpha_j}) = delta_ij, so
+    # mu(H^beta) sums the coordinates of H^beta over I
+    coroot = rs.coroot(beta)
+    return sum(coroot[i - 1] for i in I) <= 1

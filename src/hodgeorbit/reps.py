@@ -171,7 +171,7 @@ class WeightMultiset:
         return sum(self.entries.values())
 
 
-def freudenthal_multiplicities(rs: RootSystem, lam: Weight, cap=None) -> WeightMultiset:
+def freudenthal_multiplicities(rs: RootSystem, lam: Weight) -> WeightMultiset:
     """Weight multiplicities of V_lam by the Freudenthal recursion.
 
     Weights are discovered by walking down from ``lam`` one simple root at a
@@ -179,7 +179,7 @@ def freudenthal_multiplicities(rs: RootSystem, lam: Weight, cap=None) -> WeightM
     The grand total is checked against ``weyl_dimension`` before returning.
     """
     _check_dominant_integral(lam)
-    cap = dimension_cap() if cap is None else cap
+    cap = dimension_cap()
     dim = weyl_dimension(rs, lam)
     if dim > cap:
         raise DimensionCapExceeded(f"dim {dim} exceeds cap {cap}")
@@ -242,9 +242,9 @@ def freudenthal_multiplicities(rs: RootSystem, lam: Weight, cap=None) -> WeightM
     return ms
 
 
-def rep_hodge_numbers(rs: RootSystem, lam: Weight, E, cap=None) -> dict:
+def rep_hodge_numbers(rs: RootSystem, lam: Weight, E) -> dict:
     """Dimensions of the E-eigenspaces of V_lam, keyed by eigenvalue."""
-    ms = freudenthal_multiplicities(rs, lam, cap=cap)
+    ms = freudenthal_multiplicities(rs, lam)
     out: dict = {}
     for mu, m in ms.entries.items():
         q = evaluate(mu, E)

@@ -16,9 +16,11 @@ size.  The Chevalley bracket table is rebuilt with tuple keys from the root
 data, and the mixed-sign structure constants come from visiting every
 ordered pair of positive roots.  The whole structure-constant table is also
 rebuilt in three passes: the positive constants, then the mixed-sign ones,
-then their negatives.
+then their negatives.  The g2 matrices on V7 come from a search over the
+signs of the lowering entries, checked on every basis bracket.
 """
 
+import itertools
 from fractions import Fraction
 
 from hodgeorbit.cayley import (
@@ -530,6 +532,99 @@ def n_table_by_three_passes(rs: RootSystem):
         full[(x, _negate(s))] = v
         full[(_negate(x), _negate(y))] = -n
     return full
+
+
+def _mat_commutator(a, b):
+    n = len(a)
+    return tuple(
+        tuple(
+            sum(a[i][k] * b[k][j] - b[i][k] * a[k][j] for k in range(n))
+            for j in range(n)
+        )
+        for i in range(n)
+    )
+
+
+def g2_seven_dim_rep_by_sign_search(sc, weights):
+    """The g2 Chevalley-basis matrices on V7 (basis ``weights``), found by a
+    search over the signs of the lowering entries along the alpha_i-strings:
+    raising entries are (k+1)(n-k) times the lowering sign, x^{+-gamma} for
+    non-simple gamma is [x^{+-eps}, x^{+-eta}] / N for its extraspecial pair,
+    and the first assignment on which every basis bracket holds is returned.
+    All entries are Fractions."""
+    rs = sc.rs
+    size = len(weights)
+    w_index = {w: k for k, w in enumerate(weights)}
+    simples = rs.simple_roots
+    pairings = [rs.pairings(w) for w in weights]
+
+    def strings(a):
+        out = []
+        for top in weights:
+            if tuple(x + y for x, y in zip(top, a)) in w_index:
+                continue
+            chain = [top]
+            while (nxt := tuple(x - y for x, y in zip(chain[-1], a))) in w_index:
+                chain.append(nxt)
+            if len(chain) > 1:
+                out.append(chain)
+        return out
+
+    all_strings = [strings(a) for a in simples]
+    slots = [
+        (i, si, k)
+        for i, chains in enumerate(all_strings)
+        for si, chain in enumerate(chains)
+        for k in range(len(chain) - 1)
+    ]
+
+    def build(signs):
+        mats = {}
+        for i, chains in enumerate(all_strings):
+            low = [[Fraction(0)] * size for _ in range(size)]
+            up = [[Fraction(0)] * size for _ in range(size)]
+            for si, chain in enumerate(chains):
+                n = len(chain) - 1
+                for k in range(n):
+                    c = signs[slots.index((i, si, k))]
+                    low[w_index[chain[k + 1]]][w_index[chain[k]]] = Fraction(c)
+                    up[w_index[chain[k]]][w_index[chain[k + 1]]] = Fraction(
+                        (k + 1) * (n - k), c
+                    )
+            mats[sc.root_index[_negate(simples[i])]] = tuple(map(tuple, low))
+            mats[sc.root_index[simples[i]]] = tuple(map(tuple, up))
+        for j in range(rs.rank):
+            mats[j] = tuple(
+                tuple(Fraction(pairings[i][j] if i == m else 0) for m in range(size))
+                for i in range(size)
+            )
+        for gamma in rs.positive_roots:
+            if sum(gamma) < 2:
+                continue
+            for eps in rs.positive_roots:
+                rest = tuple(x - y for x, y in zip(gamma, eps))
+                if rs.is_root(rest) and sum(rest) > 0:
+                    break
+            for g, a, b in ((gamma, eps, rest), (_negate(gamma), _negate(eps), _negate(rest))):
+                bracket = _mat_commutator(mats[sc.root_index[a]], mats[sc.root_index[b]])
+                n = sc.n_table[(a, b)]
+                mats[sc.root_index[g]] = tuple(tuple(x / n for x in row) for row in bracket)
+        for a in range(sc.dim):
+            for b in range(sc.dim):
+                expect = [[Fraction(0)] * size for _ in range(size)]
+                for k, coeff in sc.basis_bracket(a, b):
+                    for i in range(size):
+                        for j in range(size):
+                            expect[i][j] += coeff * mats[k][i][j]
+                if _mat_commutator(mats[a], mats[b]) != tuple(map(tuple, expect)):
+                    return None
+        return mats
+
+    for signs in itertools.product((1, -1), repeat=len(slots)):
+        mats = build(signs)
+        if mats is not None:
+            return mats
+    raise AssertionError("no consistent sign assignment for the V7 matrices")
 
 
 def real_of(value):

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from hodgeorbit import chevalley
 from hodgeorbit.chevalley import (
     GaussianRational,
     a1_disc_coordinate_in_unit_disc,
@@ -23,6 +24,7 @@ from hodgeorbit.chevalley import (
     theta,
 )
 from hodgeorbit.chevalley import (
+    G2_V7_WEIGHTS,
     _definite,
     _gaussian_integer_vectors,
     _killing_gram,
@@ -36,6 +38,7 @@ from helpers import (
     bracket_table_by_roots,
     definite_by_sylvester,
     extend_by_root_pairs,
+    g2_seven_dim_rep_by_sign_search,
     jacobi_residual_by_dicts,
     lie_types_up_to,
     n_table_by_three_passes,
@@ -331,7 +334,7 @@ def test_definite_matches_sylvester_oracle():
 
 def _block_diagonal_samples(rng):
     """Two or three seeded samples of size <= 4 as the blocks of one matrix,
-    with interleaved indices and a Fraction scale, like a Killing gram."""
+    with interleaved indices and an integer scale, like a Killing gram."""
     small = [(kind, g) for kind, g in _symmetric_samples(rng) if len(g) <= 4]
     positive = [g for kind, g in small if kind in ("definite", "diagonal")]
     for _ in range(30):
@@ -340,7 +343,7 @@ def _block_diagonal_samples(rng):
             g for _, g in rng.sample(small, k)]
         n = sum(len(g) for g in parts)
         perm = rng.sample(range(n), n)
-        scale = Fraction(1, rng.randint(1, 6))
+        scale = rng.randint(1, 6)
         gram = [[0] * n for _ in range(n)]
         offset = 0
         for g in parts:
@@ -443,14 +446,39 @@ def test_g2_seven_dim_rep_brackets():
     assert set(mats) == set(range(sc.dim))
     # E = S^2 eigenspace dimensions (2, 3, 2)
     h_e = g2_rep_matrix(sc.h(2))
-    from hodgeorbit.chevalley import G2_V7_WEIGHTS
-
     eigs = {}
     for k, w in enumerate(G2_V7_WEIGHTS):
         val = evaluate(w, (0, 1))
         eigs[val] = eigs.get(val, 0) + 1
         assert h_e[k][k] == sum(w[t] * sc.rs.cartan[t][1] for t in range(2))
     assert eigs == {1: 2, 0: 3, -1: 2}
+
+
+def test_g2_seven_dim_rep_matches_sign_search():
+    mats = g2_seven_dim_rep()
+    oracle = g2_seven_dim_rep_by_sign_search(_sc("G2"), G2_V7_WEIGHTS)
+    assert set(mats) == set(oracle)
+    for k, m in oracle.items():
+        assert mats[k] == m, k
+
+
+@pytest.mark.parametrize("a, b", [
+    (0, (1, 0)),  # [H^{alpha_1}, x^{alpha_1}]
+    ((1, 0), (0, 1)),  # a simple pair
+    ((-1, 0), (-1, -1)),  # the N dividing x^{-(2,1)}
+], ids=["cartan", "simple", "divisor"])
+def test_g2_seven_dim_rep_rejects_corrupted_table(monkeypatch, a, b):
+    """A bracket table with one entry negated (its partner [e_b, e_a] kept)
+    is no Lie algebra, and the build's bracket check must say so.  ``a`` is
+    a Cartan index or a root."""
+    sc = copy.copy(_sc("G2"))
+    sc.ad = [dict(row) for row in sc.ad]
+    ia = a if isinstance(a, int) else sc.root_index[a]
+    ib = sc.root_index[b]
+    sc.ad[ia][ib] = tuple((k, -c) for k, c in sc.ad[ia][ib])
+    monkeypatch.setattr(chevalley, "_g2", lambda: (sc.rs, sc))
+    with pytest.raises(AssertionError, match="bracket"):
+        g2_seven_dim_rep.__wrapped__()
 
 
 def test_g2_lowering_squared_kills_top():

@@ -179,11 +179,16 @@ def test_tables_bad_dim_cap_exit_2(tmp_path, cap):
 
 
 def test_tables_dim_cap_exceeded_exit_3(tmp_path):
+    # a failing run leaves an existing table file as it was
+    name = "intro_hodge_numbers.tsv"
+    shutil.copy(os.path.join(GOLDEN_DIR, name), tmp_path / name)
     res = CliRunner(env={"HODGEORBIT_DIM_CAP": "10"}).invoke(
         main, ["tables", "--id", "intro_hodge_numbers", "--out", str(tmp_path)]
     )
     assert res.exit_code == 3
     assert res.stderr == "invalid input: dim 14 exceeds cap 10\n"
+    with open(os.path.join(GOLDEN_DIR, name), "rb") as fh:
+        assert (tmp_path / name).read_bytes() == fh.read()
 
 
 def test_tables_match_committed_golden_files():

@@ -1,7 +1,10 @@
+import itertools
+
 import pytest
 
+from helpers import lie_types_up_to
 from hodgeorbit.errors import NotDegreeOne, NotMaximalParabolic
-from hodgeorbit.grading import parabolic
+from hodgeorbit.grading import evaluate, grading_element_for, parabolic
 from hodgeorbit.lines import (
     co_components,
     co_descriptor,
@@ -9,7 +12,8 @@ from hodgeorbit.lines import (
     cone_horizontal,
     lines_parabolic,
 )
-from hodgeorbit.rootdata import root_system
+from hodgeorbit.reps import weight_from_fund
+from hodgeorbit.rootdata import build_root_system, coroot_pairing, root_system
 
 # Table rows: adjoint variety -> variety of lines G/Q (node adjacency)
 ADJACENCY = {
@@ -149,3 +153,23 @@ def test_membership_agrees_with_matrix_strings_b3():
             k += 1
         expected = k <= 1
         assert co_membership_root_direction(b3, {2}, beta) == expected
+
+
+def test_membership_matches_weight_pairing():
+    """The coordinate sum of H^beta over I equals mu(H^beta) for the weight
+    mu = sum_{i in I} w_i built through the inverse Cartan matrix: every type
+    of rank <= 8, every I with |I| <= 2, every beta with beta(E) = 1."""
+    cases = 0
+    for lie_type in lie_types_up_to(8):
+        rs = build_root_system(lie_type)
+        for I in itertools.chain.from_iterable(
+            itertools.combinations(range(1, rs.rank + 1), k) for k in (1, 2)
+        ):
+            E = grading_element_for(rs, I)
+            mu = weight_from_fund(rs, tuple(int(j + 1 in I) for j in range(rs.rank)))
+            for beta in rs.positive_roots:
+                if evaluate(beta, E) == 1:
+                    expected = coroot_pairing(rs, mu.root_coords, beta) <= 1
+                    assert co_membership_root_direction(rs, I, beta) == expected
+                    cases += 1
+    assert cases == 8467

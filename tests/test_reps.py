@@ -121,11 +121,12 @@ def test_freudenthal_exceptional_adjoint(name):
     assert all(m == 1 for w, m in ms.entries.items() if w != zero)
 
 
-def test_freudenthal_dimension_cap():
+def test_freudenthal_dimension_cap(monkeypatch):
     e8 = root_system("E8")
     lam = weight_from_root(e8, e8.highest_root)
+    monkeypatch.setenv("HODGEORBIT_DIM_CAP", "100")
     with pytest.raises(DimensionCapExceeded):
-        freudenthal_multiplicities(e8, lam, cap=100)
+        freudenthal_multiplicities(e8, lam)
 
 
 def test_multiplicities_constant_on_weyl_orbits():
