@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
+from operator import add
 
 from .errors import (
     InvalidSOS,
@@ -83,25 +84,31 @@ def _require_valid(rs: RootSystem, E, B) -> tuple:
     return canonical_sos(rs, B)
 
 
-def _so_graph(rs: RootSystem, roots) -> list[int]:
-    """Bitmask k of the result: the j with roots[j] strongly orthogonal to roots[k]."""
+def _so_graph(rs: RootSystem, roots, rows=None) -> list[int]:
+    """Bitmask k of the result: the j with roots[j] strongly orthogonal to roots[k].
+
+    For positive roots that is roots[j](H^{roots[k]}) = 0, read off ``rows[k]`` (the
+    ``root_values`` of that coroot), and roots[j] + roots[k] not a root."""
+    if rows is None:
+        rows = [root_values(rs, rs.coroot_s_coords(b)) for b in roots]
+    at = list(map({b: k for k, b in enumerate(rs.positive_roots)}.get, roots))
     n = len(roots)
     adj = [0] * n
     for i in range(n):
         for j in range(i + 1, n):
-            if strongly_orthogonal(rs, roots[i], roots[j]):
+            if not rows[i][at[j]] and not rs.is_root(map(add, roots[i], roots[j])):
                 adj[i] |= 1 << j
                 adj[j] |= 1 << i
     return adj
 
 
-def iter_sos(rs: RootSystem, E):
+def iter_sos(rs: RootSystem, E, rows=None):
     """All nonempty strongly orthogonal subsets of {beta : beta(E) = 1}.
 
-    Canonical (sorted) tuples, each subset exactly once.
+    Canonical (sorted) tuples, each subset exactly once; ``rows`` as in ``_so_graph``.
     """
     cand = sos_candidates(rs, E)
-    compat = _so_graph(rs, cand)
+    compat = _so_graph(rs, cand, rows)
 
     def extend(pool, current):
         k_pool = pool
@@ -149,19 +156,13 @@ def real_rank(rs: RootSystem, E) -> int:
     adj = _so_graph(rs, verts)
     # order by descending degree for better pruning
     order = sorted(range(n), key=lambda i: -bin(adj[i]).count("1"))
-    radj = [0] * n
-    for i in range(n):
-        for j in range(n):
-            if adj[order[i]] >> order[j] & 1:
-                radj[i] |= 1 << j
+    radj = [sum(1 << j for j, v in enumerate(order) if adj[u] >> v & 1) for u in order]
     best = 0
 
     def expand(size, pool):
         nonlocal best
         if pool == 0:
             best = max(best, size)
-            return
-        if size + bin(pool).count("1") <= best:
             return
         while pool and best < rs.rank:
             if size + bin(pool).count("1") <= best:
@@ -454,7 +455,7 @@ def boundary_census(rs: RootSystem, i: int) -> tuple[CensusEntry, ...]:
     E = grading_element_for(rs, {i})
     p_vals = root_values(rs, E)
     pair_rows = {b: root_values(rs, rs.coroot_s_coords(b)) for b in sos_candidates(rs, E)}
-    sets = list(iter_sos(rs, E))
+    sets = list(iter_sos(rs, E, list(pair_rows.values())))
     labels = _levi_weyl_classes(rs, i, sets)
     by_diamond: dict = {}  # diamond -> first set of each class, in iter_sos order
     for k, B in enumerate(sets):
@@ -493,27 +494,31 @@ def _fast_diamond(rs, p_vals, rows) -> HodgeDeligneDiamond:
 
 def _levi_weyl_classes(rs: RootSystem, i: int, sets) -> list[int]:
     """Label each B-set with its W(g^0)-orbit: the index in ``sets`` of the
-    orbit's first member.  Sets are keyed by the bitmask of their roots."""
+    orbit's first member.  Sets are keyed by the bitmask of their roots.
+    A Levi reflection s_j swaps the roots in pairs {b, s_j b} and fixes the
+    rest, so its image of a mask flips the pairs the mask holds one root of."""
     bit = {b: 1 << k for k, b in enumerate({b for B in sets for b in B})}
     index = {sum(bit[b] for b in B): k for k, B in enumerate(sets)}
-    reflections = [
-        {b: bit[rs.simple_reflection(b, j)] for b in bit}
-        for j in range(rs.rank)
-        if j != i - 1
-    ]
+    flips = [{x: x ^ bit[rs.simple_reflection(b, j)] for b, x in bit.items()}
+             for j in range(rs.rank) if j != i - 1]  # 0 where s_j fixes b
+    swaps = [(sum(x for x, f in flip.items() if f), flip) for flip in flips]
     labels = [-1] * len(sets)
     for first in range(len(sets)):
         if labels[first] >= 0:
             continue
         labels[first] = first
-        stack = [sets[first]]
+        stack = [sum(bit[b] for b in sets[first])]
         while stack:
-            B = stack.pop()
-            for table in reflections:
+            m = stack.pop()
+            for moved, flip in swaps:
+                image, hit = m, m & moved
+                while hit:  # each moved root flips its pair, so one held whole stays
+                    low = hit & -hit
+                    image ^= flip[low]
+                    hit ^= low
                 # a Levi reflection preserves both the E-value and strong
                 # orthogonality, so the image is again in the collection
-                k = index[sum(table[b] for b in B)]
-                if labels[k] < 0:
+                if image != m and labels[k := index[image]] < 0:
                     labels[k] = first
-                    stack.append(sets[k])
+                    stack.append(image)
     return labels

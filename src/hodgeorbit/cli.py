@@ -21,8 +21,8 @@ SCHEMA_VERSION = 1
 
 #: the largest rank for which ``roots`` (the listing) and ``orbit`` build a
 #: root system; above it they exit 2 before building.  Measured on 2 vCPU,
-#: CPython 3.11: the D64 listing takes 0.4 s and 30 MB, the D64 census at
-#: node 2 5.8 s and 37 MB; a D128 listing takes 1.8 s and 88 MB.
+#: CPython 3.11, as whole processes: the D64 listing takes 0.45 s and 25 MB,
+#: the D64 census at node 2 1.3 s and 40 MB; a D128 listing takes 1.8 s and 88 MB.
 MAX_BUILD_RANK = 64
 
 

@@ -1,9 +1,10 @@
 """Grading-element decompositions, parabolic data and root compactness.
 
 ``root_values`` is the one place a grading element h meets the roots: it gives
-alpha(h) for every positive root, visiting only the nonzero entries of h, and
--alpha takes the negated value.  ``eigen_dims`` counts those values as the
-eigenspace dimensions of g.  ``evaluate`` is for weights and single vectors.
+alpha(h) for every positive root as a sum of scaled coordinate columns, one
+per nonzero h_j, and -alpha takes the negated value.  ``eigen_dims`` counts
+those values as the eigenspace dimensions of g.  ``evaluate`` is for weights
+and single vectors.
 """
 
 from __future__ import annotations
@@ -28,9 +29,12 @@ def evaluate(coords, element) -> object:
 
 
 def root_values(rs: RootSystem, h) -> tuple:
-    """alpha(h) for each alpha in ``rs.positive_roots``, in order, from the nonzero h_j."""
-    nonzero = [(j, c) for j, c in enumerate(h) if c]
-    return tuple(sum(beta[j] * c for j, c in nonzero) for beta in rs.positive_roots)
+    """alpha(h) for each alpha in ``rs.positive_roots``: sum of h_j ``positive_columns[j]``."""
+    terms = [col if c == 1 else tuple([c * x for x in col])
+             for c, col in zip(h, rs.positive_columns) if c]
+    if len(terms) > 1:
+        return tuple(map(sum, zip(*terms)))
+    return terms[0] if terms else (0,) * len(rs.positive_roots)
 
 
 def eigen_dims(rs: RootSystem, values) -> dict:

@@ -11,15 +11,18 @@ is Sylvester's criterion with one determinant per leading minor, and the
 Jacobi sum is taken through dict brackets.  Diamonds are counted by dense
 evaluation over all of ``rs.roots``, with coroots from the dense form, and
 the boundary census is the per-set path: one diamond for every strongly
-orthogonal set.  The real rank is the clique search with no bound on its
-size.  The Chevalley bracket table is rebuilt with tuple keys from the root
-data, and the mixed-sign structure constants come from visiting every
-ordered pair of positive roots.  The whole structure-constant table is also
-rebuilt in three passes: the positive constants, then the mixed-sign ones,
-then their negatives.  The g2 matrices on V7 come from a search over the
-signs of the lowering entries, checked on every basis bracket.
+orthogonal set.  Strong orthogonality is tested on all three conditions of
+its definition, where the library tests the form and the sum only.  The real
+rank is the clique search over that test with no bound on its size.  The
+Chevalley bracket table is rebuilt with tuple keys from the root data, and
+the mixed-sign structure constants come from visiting every ordered pair of
+positive roots.  The whole structure-constant table is also rebuilt in three
+passes: the positive constants, then the mixed-sign ones, then their
+negatives.  The g2 matrices on V7 come from a search over the signs of the
+lowering entries, checked on every basis bracket.
 """
 
+import functools
 import itertools
 from fractions import Fraction
 
@@ -38,7 +41,6 @@ from hodgeorbit.rootdata import (
     LieType,
     RootSystem,
     _cartan_data,
-    strongly_orthogonal,
 )
 
 
@@ -179,8 +181,14 @@ def bilinear_by_sym(rs: RootSystem, x, y):
     (alpha_i, alpha_j) = d_j A[i][j], where the library goes through the
     sparse Cartan columns."""
     r = rs.rank
-    sym = [[rs.lengths[j] * rs.cartan[i][j] for j in range(r)] for i in range(r)]
+    sym = _sym(rs)
     return sum(x[i] * sym[i][j] * y[j] for i in range(r) for j in range(r))
+
+
+@functools.cache
+def _sym(rs: RootSystem):
+    r = rs.rank
+    return [[rs.lengths[j] * rs.cartan[i][j] for j in range(r)] for i in range(r)]
 
 
 def coroot_s_coords_by_sym(rs: RootSystem, alpha):
@@ -363,6 +371,13 @@ def jacobi_residual_by_dicts(sc, i, j, k):
     return out
 
 
+def strongly_orthogonal_by_three_tests(rs: RootSystem, a, b):
+    """Neither a + b nor a - b is a root, and ``bilinear_by_sym`` of a and b is 0."""
+    s = tuple(x + y for x, y in zip(a, b))
+    d = tuple(x - y for x, y in zip(a, b))
+    return s not in rs.roots and d not in rs.roots and bilinear_by_sym(rs, a, b) == 0
+
+
 def real_rank_unbounded(rs: RootSystem, E):
     """The largest pairwise strongly orthogonal set of positive roots with
     beta(E) odd, by a clique search that runs until its pool is exhausted,
@@ -372,7 +387,7 @@ def real_rank_unbounded(rs: RootSystem, E):
     adj = [0] * n
     for i in range(n):
         for j in range(n):
-            if i != j and strongly_orthogonal(rs, verts[i], verts[j]):
+            if i != j and strongly_orthogonal_by_three_tests(rs, verts[i], verts[j]):
                 adj[i] |= 1 << j
     order = sorted(range(n), key=lambda i: -bin(adj[i]).count("1"))
     radj = [0] * n

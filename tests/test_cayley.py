@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -6,9 +7,11 @@ from helpers import (
     census_by_sets,
     lie_types_up_to,
     real_rank_unbounded,
+    strongly_orthogonal_by_three_tests,
 )
 
 from hodgeorbit.cayley import (
+    _so_graph,
     bigrading,
     boundary_census,
     codim_one_uniqueness_check,
@@ -26,7 +29,7 @@ from hodgeorbit.cayley import (
     weyl_flip,
 )
 from hodgeorbit.errors import InvalidSOS, NotFundamentalAdjoint
-from hodgeorbit.grading import grading_element_for, is_fundamental_adjoint
+from hodgeorbit.grading import evaluate, grading_element_for, is_fundamental_adjoint
 from hodgeorbit.reps import fundamental_weights, weight_from_root
 from hodgeorbit.rootdata import build_root_system, conjugate_root, root_system
 
@@ -112,6 +115,35 @@ def test_real_rank_matches_unbounded_search():
         for node in range(1, rs.rank + 1):
             E = grading_element_for(rs, {node})
             assert real_rank(rs, E) == real_rank_unbounded(rs, E), (lie_type, node)
+
+
+def _three_test_graph(rs, roots):
+    adj = [0] * len(roots)
+    for k, j in itertools.combinations(range(len(roots)), 2):
+        if strongly_orthogonal_by_three_tests(rs, roots[k], roots[j]):
+            adj[k] |= 1 << j
+            adj[j] |= 1 << k
+    return adj
+
+
+def _assert_so_graph_matches_three_tests(rs, node):
+    E = grading_element_for(rs, {node})
+    candidates = [b for b in rs.positive_roots if evaluate(b, E) == 1]
+    odd = [b for b in rs.positive_roots if evaluate(b, E) % 2]
+    for roots in (candidates, odd) if odd != candidates else (candidates,):
+        assert _so_graph(rs, roots) == _three_test_graph(rs, roots), (rs.lie_type, node)
+
+
+def test_so_graph_matches_three_test_oracle():
+    # the candidates of iter_sos and the vertices of real_rank, on every node
+    for lie_type in lie_types_up_to(8):
+        rs = build_root_system(lie_type)
+        for node in range(1, rs.rank + 1):
+            _assert_so_graph_matches_three_tests(rs, node)
+
+
+def test_so_graph_matches_three_test_oracle_d48():
+    _assert_so_graph_matches_three_tests(root_system("D48"), 2)
 
 
 def test_real_rank_stops_at_the_rank():

@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from helpers import lie_types_up_to
+from helpers import _dense_row, lie_types_up_to
 
 from hodgeorbit.errors import IndexOutOfRange
 from hodgeorbit.grading import (
@@ -11,6 +11,7 @@ from hodgeorbit.grading import (
     grading_element_for,
     is_fundamental_adjoint,
     parabolic,
+    root_values,
     schubert_dim_from_grading,
 )
 from hodgeorbit.rootdata import root_system
@@ -180,3 +181,28 @@ def test_grading_element_evaluation():
     E = grading_element_for(rs, {2, 4})
     assert E == (0, 1, 0, 1, 0, 0)
     assert evaluate(rs.highest_root, E) == 5
+
+
+def _seeded_h(rng, rank):
+    """Random entries in -2..3, with a negative entry, one > 1 and a zero
+    placed at random positions, as far as the rank allows."""
+    h = [rng.choice((-2, -1, 0, 0, 1, 3)) for _ in range(rank)]
+    spots = rng.sample(range(rank), min(rank, 3))
+    for spot, value in zip(spots, (rng.randint(-3, -1), rng.randint(2, 4), 0)):
+        h[spot] = value
+    return tuple(h)
+
+
+@pytest.mark.parametrize("name", SMALL_TYPES + ["D48"])
+def test_root_values_match_dense_evaluation(name):
+    # h = 0, S^j (a column taken as it is), 3 S^j (one scaled column), and
+    # seeded h with several nonzero entries (scaled columns summed)
+    rng = random.Random(f"root_values {name}")
+    rs = root_system(name)
+    j = rng.randrange(rs.rank)
+    unit = tuple(int(k == j) for k in range(rs.rank))
+    hs = [(0,) * rs.rank, unit, tuple(3 * c for c in unit)]
+    hs += [_seeded_h(rng, rs.rank) for _ in range(4)]
+    for h in hs:
+        dense = dict(zip(rs.roots, _dense_row(rs, h)))
+        assert root_values(rs, h) == tuple(dense[b] for b in rs.positive_roots), h
