@@ -4,11 +4,14 @@ Everything is exact, and the hot paths use integers only.  A weight with
 fundamental-weight coordinates lam pairs with a positive root
 alpha = sum_j k_j alpha_j as (lam, alpha) = sum_j k_j d_j lam_j, so the Weyl
 dimension formula and the degree product are integer products with one exact
-division at the end.  The Freudenthal recursion walks down from the highest
-weight lam, keying each weight mu by its depth lam - mu, a non-negative
-integer vector in simple-root coordinates; its output is checked against the
-Weyl dimension formula on every call.  ``Fraction`` stays only where values
-need not be integers: in the public ``Weight`` coordinates, above all
+division at the end.  The Freudenthal recursion runs over the dominant weights
+below lam only (Moody-Patera), found by subtracting positive roots.  It reads
+m(mu + k alpha) at the dominant conjugate, reached by integer simple
+reflections on fundamental coordinates, and ends each root string at its
+first zero, since strings have no gaps.  Each dominant weight is then
+expanded to its Weyl orbit, and the total is checked against the Weyl
+dimension formula on every call.  ``Fraction`` stays only where values need
+not be integers: in the public ``Weight`` coordinates, above all
 ``root_coords`` (fundamental weights need not lie in the root lattice), which
 ``WeightMultiset`` uses as keys, and in grading-element values on them.
 """
@@ -19,7 +22,7 @@ import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul, sub
+from operator import add, mul, sub
 
 from .errors import DimensionCapExceeded, NotDominant
 from .grading import evaluate
@@ -88,19 +91,19 @@ def rho(rs: RootSystem) -> Weight:
 
 
 def dual_weight(rs: RootSystem, lam: Weight) -> Weight:
-    """Highest weight of the dual representation: -w_0(lam)."""
-    coords = tuple(-c for c in lam.root_coords)
-    return weight_from_root(rs, _make_dominant(rs, coords))
+    """Highest weight of the dual representation: -w_0(lam), the dominant
+    conjugate of -lam."""
+    _check_dominant_integral(lam)
+    return weight_from_fund(rs, _dominant(rs, tuple(-int(c) for c in lam.fund_coords)))
 
 
-def _make_dominant(rs: RootSystem, root_coords):
-    """Dominant Weyl-chamber representative of a weight (root coordinates)."""
-    cur = tuple(root_coords)
-    while True:
-        j = next((j for j, p in enumerate(rs.pairings(cur)) if p < 0), None)
-        if j is None:
-            return cur
-        cur = rs.simple_reflection(cur, j)
+def _dominant(rs: RootSystem, fund: tuple) -> tuple:
+    """Dominant W-conjugate of integer fundamental coordinates: while some c = fund[j]
+    is negative, s_j subtracts c times row j of the Cartan matrix (alpha_j)."""
+    while (c := min(fund)) < 0:
+        row = rs.cartan[fund.index(c)]
+        fund = tuple(x - c * a for x, a in zip(fund, row))
+    return fund
 
 
 def _check_dominant_integral(lam: Weight):
@@ -174,8 +177,8 @@ class WeightMultiset:
 def freudenthal_multiplicities(rs: RootSystem, lam: Weight) -> WeightMultiset:
     """Weight multiplicities of V_lam by the Freudenthal recursion.
 
-    Weights are discovered by walking down from ``lam`` one simple root at a
-    time; a candidate is kept when the recursion gives positive multiplicity.
+    The recursion runs over the dominant weights only, found by subtracting
+    positive roots from ``lam``; each is then expanded to its Weyl orbit.
     The grand total is checked against ``weyl_dimension`` before returning.
     """
     _check_dominant_integral(lam)
@@ -184,61 +187,57 @@ def freudenthal_multiplicities(rs: RootSystem, lam: Weight) -> WeightMultiset:
     if dim > cap:
         raise DimensionCapExceeded(f"dim {dim} exceeds cap {cap}")
 
-    # mu = lam - sum_i n_i alpha_i is keyed by its depth n; all pairings are
-    # integer dot products with mu's fundamental-weight coordinates
-    r = rs.rank
-    lam_f = [int(c) for c in lam.fund_coords]
-    strings = [
-        (alpha, kd, rs.bilinear(alpha, alpha))
-        for alpha, kd in zip(rs.positive_roots, rs.scaled_positive_roots)
-    ]
-    top = (0,) * r
-    mult = {top: 1}
-    level = [top]
-    while level:
-        candidates = {n[:i] + (n[i] + 1,) + n[i + 1:] for n in level for i in range(r)}
-        nxt = []
-        # descending depth is ascending root coordinates of mu
-        for n in sorted(candidates, reverse=True):
-            mu_f = list(map(sub, lam_f, rs.pairings(n)))
-            # (lam+rho)^2 - (mu+rho)^2 = (lam - mu, lam + mu + 2 rho)
-            denom = sum(
-                n_i * d * (l + m + 2)
-                for n_i, d, l, m in zip(n, rs.lengths, lam_f, mu_f)
-                if n_i
-            )
-            if denom == 0:
-                continue
-            acc = 0
-            for alpha, kd, norm in strings:
-                # walk the whole cone below lambda: candidates need not be
-                # weights, so their strings may have gaps
-                up, k = n, 0
-                while True:
-                    up = tuple(map(sub, up, alpha))
-                    if min(up) < 0:
-                        break
-                    k += 1
-                    m_up = mult.get(up)
-                    if m_up:
-                        # (mu + k alpha, alpha)
-                        acc += m_up * (sum(map(mul, kd, mu_f)) + k * norm)
-            if acc == 0:
-                continue
-            m_mu = _exact_quotient(2 * acc, denom, "Freudenthal multiplicity")
-            if m_mu < 0:
-                raise AssertionError("negative multiplicity")
-            mult[n] = m_mu
-            nxt.append(n)
-        level = nxt
-    lam_c = lam.root_coords
-    ms = WeightMultiset(
-        lam, {tuple(c - x for c, x in zip(lam_c, n)): m for n, m in mult.items()}
-    )
+    # a weight is its integer fundamental coordinates mu_f; its depth
+    # n = lam - mu is a non-negative integer vector in simple-root coordinates
+    lam_f = tuple(int(c) for c in lam.fund_coords)
+    strings = [(alpha, rs.pairings(alpha), kd, rs.bilinear(alpha, alpha))
+               for alpha, kd in zip(rs.positive_roots, rs.scaled_positive_roots)]
+    # every dominant weight below lam is reached through dominant weights by
+    # subtracting positive roots (Stembridge 1998)
+    depth = {lam_f: (0,) * rs.rank}
+    dominant = [lam_f]
+    for mu_f in dominant:
+        for alpha, alpha_f, _, _ in strings:
+            nu_f = tuple(map(sub, mu_f, alpha_f))
+            if min(nu_f) >= 0 and nu_f not in depth:
+                depth[nu_f] = tuple(map(add, depth[mu_f], alpha))
+                dominant.append(nu_f)
+    dominant.sort(key=lambda mu_f: sum(depth[mu_f]))
+    mult = {lam_f: 1}
+    for mu_f in dominant[1:]:
+        # (lam+rho)^2 - (mu+rho)^2 = (lam - mu, lam + mu + 2 rho)
+        denom = sum(n * d * (l + m + 2)
+                    for n, d, l, m in zip(depth[mu_f], rs.lengths, lam_f, mu_f))
+        acc = 0
+        for _, alpha_f, kd, norm in strings:
+            # m(mu + k alpha) is read at its dominant conjugate, which lies
+            # higher, so it is already known; the string has no gaps
+            # (Humphreys 21.3), so it ends at its first zero
+            pair = sum(map(mul, kd, mu_f))
+            nu_f, k = mu_f, 0
+            while True:
+                nu_f = tuple(map(add, nu_f, alpha_f))
+                m_nu = mult.get(_dominant(rs, nu_f))
+                if not m_nu:
+                    break
+                k += 1
+                acc += m_nu * (pair + k * norm)  # (mu + k alpha, alpha)
+        m_mu = _exact_quotient(2 * acc, denom, "Freudenthal multiplicity")
+        if m_mu < 1:
+            raise AssertionError(f"dominant weight {mu_f} has multiplicity {m_mu}")
+        mult[mu_f] = m_mu
+    # W acts linearly, so the orbits are taken on root coordinates scaled to
+    # integers by the lcm D of lam's denominators
+    D = math.lcm(*(c.denominator for c in lam.root_coords))
+    lam_c = [c.numerator * (D // c.denominator) for c in lam.root_coords]
+    scaled = {}
+    for mu_f, m in mult.items():
+        start = tuple(c - D * x for c, x in zip(lam_c, depth[mu_f]))
+        scaled.update(dict.fromkeys(rs.weyl_orbit([start]), m))
+    frac = {c: Fraction(c, D) for c in {c for mu in scaled for c in mu}}
+    ms = WeightMultiset(lam, {tuple(map(frac.__getitem__, mu)): m for mu, m in scaled.items()})
     if ms.total != dim:
-        raise AssertionError(
-            f"multiplicities sum to {ms.total}, Weyl dimension is {dim}"
-        )
+        raise AssertionError(f"multiplicities sum to {ms.total}, Weyl dimension is {dim}")
     return ms
 
 
@@ -272,10 +271,9 @@ def _degree_by_product(rs: RootSystem, mu: Weight) -> tuple[int, int]:
 
 def _degree_by_hilbert_fit(rs: RootSystem, mu: Weight, n: int) -> int:
     """n-th finite difference of k -> dim V_{k mu}, i.e. n! * leading coeff."""
-    values = []
-    for k in range(n + 1):
-        lam = weight_from_fund(rs, tuple(k * c for c in mu.fund_coords))
-        values.append(weyl_dimension(rs, lam))
+    fund, root = mu.fund_coords, mu.root_coords
+    values = [weyl_dimension(rs, Weight(tuple(k * c for c in fund), tuple(k * c for c in root)))
+              for k in range(n + 1)]
     for _ in range(n):
         values = [b - a for a, b in zip(values, values[1:])]
     return values[0]

@@ -12,8 +12,11 @@ Jacobi sum is taken through dict brackets.  Diamonds are counted by dense
 evaluation over all of ``rs.roots``, with coroots from the dense form, and
 the boundary census is the per-set path: one diamond for every strongly
 orthogonal set.  Strong orthogonality is tested on all three conditions of
-its definition, where the library tests the form and the sum only.  The real
-rank is the clique search over that test with no bound on its size.  The
+its definition, where the library tests the form and the sum only.  The
+strongly orthogonal sets are enumerated by plain recursion over that test,
+and the real rank is the clique search over it with no bound on its size.
+The Freudenthal recursion is also kept in its walk-down form, over every
+weight below the highest, where the library runs it on dominant weights.  The
 Chevalley bracket table is rebuilt with tuple keys from the root data, and
 the mixed-sign structure constants come from visiting every ordered pair of
 positive roots.  The whole structure-constant table is also rebuilt in three
@@ -25,6 +28,7 @@ lowering entries, checked on every basis bracket.
 import functools
 import itertools
 from fractions import Fraction
+from operator import mul, sub
 
 from hodgeorbit.cayley import (
     CensusEntry,
@@ -34,8 +38,18 @@ from hodgeorbit.cayley import (
     iter_sos,
     sos_candidates,
 )
+from hodgeorbit.errors import DimensionCapExceeded
 from hodgeorbit.grading import evaluate, grading_element_for
-from hodgeorbit.reps import rho, weight_from_fund
+from hodgeorbit.reps import (
+    Weight,
+    WeightMultiset,
+    _check_dominant_integral,
+    _exact_quotient,
+    dimension_cap,
+    rho,
+    weight_from_fund,
+    weyl_dimension,
+)
 from hodgeorbit.rootdata import (
     RANK_BOUNDS,
     LieType,
@@ -176,6 +190,78 @@ def multiplicity_by_weyl_character(rs: RootSystem, lam, mu, orbit=None, kostant=
     return total
 
 
+def freudenthal_by_walk_down(rs: RootSystem, lam: Weight) -> WeightMultiset:
+    """Weight multiplicities of V_lam by the Freudenthal recursion on every
+    weight, where the library runs it on the dominant weights only.
+
+    Weights are discovered by walking down from ``lam`` one simple root at a
+    time; a candidate is kept when the recursion gives positive multiplicity.
+    The grand total is checked against ``weyl_dimension`` before returning.
+    """
+    _check_dominant_integral(lam)
+    cap = dimension_cap()
+    dim = weyl_dimension(rs, lam)
+    if dim > cap:
+        raise DimensionCapExceeded(f"dim {dim} exceeds cap {cap}")
+
+    # mu = lam - sum_i n_i alpha_i is keyed by its depth n; all pairings are
+    # integer dot products with mu's fundamental-weight coordinates
+    r = rs.rank
+    lam_f = [int(c) for c in lam.fund_coords]
+    strings = [
+        (alpha, kd, rs.bilinear(alpha, alpha))
+        for alpha, kd in zip(rs.positive_roots, rs.scaled_positive_roots)
+    ]
+    top = (0,) * r
+    mult = {top: 1}
+    level = [top]
+    while level:
+        candidates = {n[:i] + (n[i] + 1,) + n[i + 1:] for n in level for i in range(r)}
+        nxt = []
+        # descending depth is ascending root coordinates of mu
+        for n in sorted(candidates, reverse=True):
+            mu_f = list(map(sub, lam_f, rs.pairings(n)))
+            # (lam+rho)^2 - (mu+rho)^2 = (lam - mu, lam + mu + 2 rho)
+            denom = sum(
+                n_i * d * (l + m + 2)
+                for n_i, d, l, m in zip(n, rs.lengths, lam_f, mu_f)
+                if n_i
+            )
+            if denom == 0:
+                continue
+            acc = 0
+            for alpha, kd, norm in strings:
+                # walk the whole cone below lambda: candidates need not be
+                # weights, so their strings may have gaps
+                up, k = n, 0
+                while True:
+                    up = tuple(map(sub, up, alpha))
+                    if min(up) < 0:
+                        break
+                    k += 1
+                    m_up = mult.get(up)
+                    if m_up:
+                        # (mu + k alpha, alpha)
+                        acc += m_up * (sum(map(mul, kd, mu_f)) + k * norm)
+            if acc == 0:
+                continue
+            m_mu = _exact_quotient(2 * acc, denom, "Freudenthal multiplicity")
+            if m_mu < 0:
+                raise AssertionError("negative multiplicity")
+            mult[n] = m_mu
+            nxt.append(n)
+        level = nxt
+    lam_c = lam.root_coords
+    ms = WeightMultiset(
+        lam, {tuple(c - x for c, x in zip(lam_c, n)): m for n, m in mult.items()}
+    )
+    if ms.total != dim:
+        raise AssertionError(
+            f"multiplicities sum to {ms.total}, Weyl dimension is {dim}"
+        )
+    return ms
+
+
 def bilinear_by_sym(rs: RootSystem, x, y):
     """(x, y) = sum_{i,j} x_i (alpha_i, alpha_j) y_j with the dense matrix
     (alpha_i, alpha_j) = d_j A[i][j], where the library goes through the
@@ -298,8 +384,6 @@ def dominant_weights_with_dim_at_most(rs: RootSystem, bound):
     each coordinate, so a branch is abandoned as soon as the zero-padded
     prefix already exceeds the bound.
     """
-    from hodgeorbit.reps import weyl_dimension
-
     found = []
 
     def dim_of(prefix):
@@ -376,6 +460,29 @@ def strongly_orthogonal_by_three_tests(rs: RootSystem, a, b):
     s = tuple(x + y for x, y in zip(a, b))
     d = tuple(x - y for x, y in zip(a, b))
     return s not in rs.roots and d not in rs.roots and bilinear_by_sym(rs, a, b) == 0
+
+
+def sos_sets_by_three_tests(rs: RootSystem, E):
+    """Every nonempty strongly orthogonal set of roots with beta(E) = 1, as a
+    set of frozensets.
+
+    The candidates come from dense evaluation over all of ``rs.roots``, the
+    sets are grown by plain recursion in candidate order, and each pair is
+    tested with ``strongly_orthogonal_by_three_tests``, where the library
+    enumerates cliques of its bitmask graph.
+    """
+    cand = [b for b, v in zip(rs.roots, _dense_row(rs, E)) if v == 1]
+    found = set()
+
+    def extend(chosen, start):
+        for k in range(start, len(cand)):
+            if all(strongly_orthogonal_by_three_tests(rs, b, cand[k]) for b in chosen):
+                nxt = chosen + [cand[k]]
+                found.add(frozenset(nxt))
+                extend(nxt, k + 1)
+
+    extend([], 0)
+    return found
 
 
 def real_rank_unbounded(rs: RootSystem, E):

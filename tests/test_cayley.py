@@ -7,6 +7,7 @@ from helpers import (
     census_by_sets,
     lie_types_up_to,
     real_rank_unbounded,
+    sos_sets_by_three_tests,
     strongly_orthogonal_by_three_tests,
 )
 
@@ -381,6 +382,16 @@ def test_boundary_census_matches_per_set_oracle(name, i):
     # one diamond per Levi-Weyl class against one diamond per set
     rs = root_system(name)
     assert boundary_census(rs, i) == census_by_sets(rs, i)
+
+
+@pytest.mark.parametrize("name, i", CENSUS_ORACLE_CASES)
+def test_iter_sos_matches_three_test_recursion(name, i):
+    # each set once, and the same sets as a recursion over the three-test oracle
+    rs = root_system(name)
+    E = grading_element_for(rs, {i})
+    sets = [frozenset(B) for B in iter_sos(rs, E)]
+    assert len(sets) == len(set(sets))
+    assert set(sets) == sos_sets_by_three_tests(rs, E)
 
 
 def test_boundary_census_rejects_non_adjoint():

@@ -6,6 +6,7 @@ import pytest
 from helpers import (
     KostantPartition,
     dominant_weights_with_dim_at_most,
+    freudenthal_by_walk_down,
     lie_types_up_to,
     multiplicity_by_weyl_character,
     weyl_dimension_by_bilinear,
@@ -26,7 +27,7 @@ from hodgeorbit.reps import (
     weights_with_E_value_one,
     weyl_dimension,
 )
-from hodgeorbit.rootdata import root_system
+from hodgeorbit.rootdata import build_root_system, root_system
 
 # types for which the Weyl-character oracle is enumerable
 ORACLE_TYPES = [
@@ -119,6 +120,33 @@ def test_freudenthal_exceptional_adjoint(name):
     assert ms.entries[zero] == rs.rank
     assert {w for w in ms.entries if w != zero} == rs.roots
     assert all(m == 1 for w, m in ms.entries.items() if w != zero)
+
+
+def test_freudenthal_e8_3875():
+    # 2160 weights of multiplicity 1, the 240 roots at 7 and zero at 35
+    e8 = root_system("E8")
+    ms = freudenthal_multiplicities(e8, fundamental_weights(e8)[0])
+    assert ms.total == 3875
+    assert ms.entries[(0,) * 8] == 35
+    assert {w for w, m in ms.entries.items() if m == 7} == e8.roots
+    assert sum(1 for m in ms.entries.values() if m == 1) == 2160
+    assert len(ms.entries) == 2160 + 240 + 1
+
+
+def test_freudenthal_matches_walk_down_on_fundamental_reps():
+    """Dominant-weight recursion against the walk-down over every weight."""
+    checked = 0
+    for lie_type in lie_types_up_to(8):
+        rs = build_root_system(lie_type)
+        for lam in fundamental_weights(rs):
+            if weyl_dimension(rs, lam) > 300:
+                continue
+            expected = freudenthal_by_walk_down(rs, lam).entries
+            assert freudenthal_multiplicities(rs, lam).entries == expected, (
+                lie_type, lam.fund_coords,
+            )
+            checked += 1
+    assert checked == 113
 
 
 def test_freudenthal_dimension_cap(monkeypatch):
