@@ -183,7 +183,6 @@ class HodgeDeligneDiamond:
     """Map (p, q) -> dimension, with the Cartan folded into (0, 0)."""
 
     entries: tuple  # sorted tuple of ((p, q), dim)
-    cartan_at_origin: int
 
     def as_dict(self) -> dict:
         return dict(self.entries)
@@ -489,7 +488,7 @@ def _fast_diamond(rs, p_vals, rows) -> HodgeDeligneDiamond:
         counts[(p, q)] = counts.get((p, q), 0) + 1
         counts[(-p, -q)] = counts.get((-p, -q), 0) + 1
     counts[(0, 0)] = counts.get((0, 0), 0) + rs.rank
-    return HodgeDeligneDiamond(tuple(sorted(counts.items())), rs.rank)
+    return HodgeDeligneDiamond(tuple(sorted(counts.items())))
 
 
 def _levi_weyl_classes(rs: RootSystem, i: int, sets) -> list[int]:

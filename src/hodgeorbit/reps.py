@@ -64,11 +64,10 @@ def inverse_cartan(rs: RootSystem):
 
 
 def weight_from_fund(rs: RootSystem, fund) -> Weight:
+    """sum_i fund_i w_i, over the rows of ``inverse_cartan`` with fund_i != 0."""
     fund = tuple(Fraction(c) for c in fund)
-    inv = inverse_cartan(rs)
-    root = tuple(
-        sum(fund[i] * inv[i][k] for i in range(rs.rank)) for k in range(rs.rank)
-    )
+    rows = [[c * x for x in row] for c, row in zip(fund, inverse_cartan(rs)) if c]
+    root = tuple(map(sum, zip(*rows))) if rows else (Fraction(0),) * rs.rank
     return Weight(fund, root)
 
 

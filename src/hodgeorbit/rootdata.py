@@ -19,8 +19,9 @@ they are nonzero.  It acts on coordinate tuples, integer roots and
 ``Fraction`` weights alike.  No table of simple reflections as permutations
 of root indices is stored: for the ``classical_census`` benchmark workload
 such tables would take 2.4 MB (tracemalloc), 7% of its peak.  The one stored
-transpose is ``positive_columns``, the coordinates of the positive roots by
-column for ``grading.root_values``: 0.37 MB on B36 (``sys.getsizeof``).
+transpose is ``positive_columns``, the positive roots' coordinates by column
+for ``grading.root_values``: 0.37 MB on B36 (``sys.getsizeof``).  Their Gram
+matrix also gives ``inverse_cartan`` without elimination.
 
 W preserves length and every root is conjugate to a simple root, so the tree
 that generates the roots gives each root the d_j of the simple root it came
@@ -36,6 +37,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
+from operator import mul
 
 from .errors import InvalidRank, NotARoot, NotStronglyOrthogonal
 
@@ -319,23 +321,21 @@ class RootSystem:
 
     @cached_property
     def inverse_cartan(self) -> tuple[tuple[Fraction, ...], ...]:
-        """Inverse Cartan matrix; row i is w_i in simple-root coordinates."""
-        n = self.rank
-        aug = [
-            [Fraction(self.cartan[i][j]) for j in range(n)]
-            + [Fraction(1 if j == i else 0) for j in range(n)]
-            for i in range(n)
-        ]
-        for col in range(n):
-            piv = next(r for r in range(col, n) if aug[r][col] != 0)
-            aug[col], aug[piv] = aug[piv], aug[col]
-            inv = 1 / aug[col][col]
-            aug[col] = [x * inv for x in aug[col]]
-            for r in range(n):
-                if r != col and aug[r][col] != 0:
-                    f = aug[r][col]
-                    aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-        return tuple(tuple(row[n:]) for row in aug)
+        """Inverse Cartan matrix; row i is w_i in simple-root coordinates.
+
+        W permutes the roots, so sum_alpha (lam, alpha)(alpha, mu) is W-invariant,
+        hence c (lam, mu) as W acts irreducibly: sum_{alpha>0} (lam, alpha) alpha
+        = c lam.  As (w_i, alpha) = d_i k_i, row i is d_i G[i] / c, with G the Gram
+        matrix G[i][k] = sum_{alpha>0} k_i k_k of ``positive_columns``.  Checked:
+        (D G) A = c I, c read off its corner (30 on E8, n + 1 on A_n).
+        """
+        cols = self.positive_columns
+        dg = [[d * sum(map(mul, ci, ck)) for ck in cols] for d, ci in zip(self.lengths, cols)]
+        c = self.pairings(dg[0])[0]
+        if any(p != c * (i == j) for i, row in enumerate(dg)
+               for j, p in enumerate(self.pairings(row))):
+            raise AssertionError("D G A is not a multiple of the identity")
+        return tuple(tuple(Fraction(x, c) for x in row) for row in dg)
 
     # -- basic queries ----------------------------------------------------
 
@@ -347,9 +347,6 @@ class RootSystem:
         if beta not in self.roots:
             raise NotARoot(f"{beta} is not a root of {self.lie_type}")
         return beta
-
-    def height(self, beta) -> int:
-        return sum(beta)
 
     def bilinear(self, x, y):
         """(x, y) = sum_j y_j d_j <x, alpha_j^vee> for vectors in simple-root
@@ -397,12 +394,12 @@ def root_system(text: str) -> RootSystem:
 
 
 def coroot_pairing(rs: RootSystem, beta, alpha):
-    """beta(H^alpha) = 2 (beta, alpha) / (alpha, alpha).
+    """beta(H^alpha) = sum_k beta_k alpha_k(H^alpha), over ``coroot_s_coords``.
 
     ``beta`` may be any rational vector in simple-root coordinates;
     the result is an integer whenever beta is a root.
     """
-    val = Fraction(2 * rs.bilinear(beta, alpha), 2 * rs.root_length(alpha))
+    val = sum(map(mul, beta, rs.coroot_s_coords(alpha)))
     if val.denominator == 1:
         val = int(val)
     if rs.is_root(beta) and not isinstance(val, int):

@@ -6,15 +6,18 @@ character formula with an explicit Kostant partition count, Weyl groups are
 enumerated as orbits of a strictly dominant vector, and roots are closed
 under simple reflections with dense pairings against the Cartan matrix.
 The orbit tree is rebuilt by trying every node on every vertex.
-The root-lattice form is the dense r x r matrix d_j A[i][j].  Definiteness
-is Sylvester's criterion with one determinant per leading minor, and the
-Jacobi sum is taken through dict brackets.  Diamonds are counted by dense
-evaluation over all of ``rs.roots``, with coroots from the dense form, and
-the boundary census is the per-set path: one diamond for every strongly
-orthogonal set.  Strong orthogonality is tested on all three conditions of
-its definition, where the library tests the form and the sum only.  The
-strongly orthogonal sets are enumerated by plain recursion over that test,
-and the real rank is the clique search over it with no bound on its size.
+The root-lattice form is the dense r x r matrix d_j A[i][j], and coroot
+pairings are 2 (beta, alpha) / (alpha, alpha) on it.  The inverse Cartan
+matrix comes from Gauss-Jordan elimination, and a weight's root coordinates
+from the full r x r product with it.  Definiteness is Sylvester's criterion
+with one determinant per leading minor, and the Jacobi sum is taken through
+dict brackets.  Diamonds are counted by dense evaluation over all of
+``rs.roots``, with coroots from the dense form, and the boundary census is
+the per-set path: one diamond for every strongly orthogonal set.  Strong
+orthogonality is tested on all three conditions of its definition, where the
+library tests the form and the sum only.  The strongly orthogonal sets are
+enumerated by plain recursion over that test, and the real rank is the clique
+search over it with no bound on its size.
 The Freudenthal recursion is also kept in its walk-down form, over every
 weight below the highest, where the library runs it on dominant weights.  The
 Chevalley bracket table is rebuilt with tuple keys from the root data, and
@@ -286,6 +289,43 @@ def coroot_s_coords_by_sym(rs: RootSystem, alpha):
     )
 
 
+@functools.cache
+def inverse_cartan_by_gauss_jordan(rs: RootSystem):
+    """Inverse Cartan matrix by Fraction Gauss-Jordan elimination on [A | I]."""
+    n = rs.rank
+    aug = [
+        [Fraction(rs.cartan[i][j]) for j in range(n)]
+        + [Fraction(1 if j == i else 0) for j in range(n)]
+        for i in range(n)
+    ]
+    for col in range(n):
+        piv = next(r for r in range(col, n) if aug[r][col] != 0)
+        aug[col], aug[piv] = aug[piv], aug[col]
+        inv = 1 / aug[col][col]
+        aug[col] = [x * inv for x in aug[col]]
+        for r in range(n):
+            if r != col and aug[r][col] != 0:
+                f = aug[r][col]
+                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
+    return tuple(tuple(row[n:]) for row in aug)
+
+
+def weight_from_fund_dense(rs: RootSystem, fund) -> Weight:
+    """sum_i fund_i w_i as the full r x r product with the Gauss-Jordan inverse."""
+    fund = tuple(Fraction(c) for c in fund)
+    inv = inverse_cartan_by_gauss_jordan(rs)
+    root = tuple(
+        sum(fund[i] * inv[i][k] for i in range(rs.rank)) for k in range(rs.rank)
+    )
+    return Weight(fund, root)
+
+
+def coroot_pairing_by_form(rs: RootSystem, beta, alpha):
+    """beta(H^alpha) = 2 (beta, alpha) / (alpha, alpha) on the dense form."""
+    val = Fraction(2 * bilinear_by_sym(rs, beta, alpha), bilinear_by_sym(rs, alpha, alpha))
+    return int(val) if val.denominator == 1 else val
+
+
 def weyl_dimension_by_bilinear(rs: RootSystem, lam):
     """prod_{alpha>0} (lam+rho, alpha) / (rho, alpha) in Fraction arithmetic.
 
@@ -309,7 +349,7 @@ def _diamond_by_roots(rs: RootSystem, p_vals, rows):
     for p, *ys in zip(p_vals, *rows):
         key = (p, sum(ys) - p)
         counts[key] = counts.get(key, 0) + 1
-    return HodgeDeligneDiamond(tuple(sorted(counts.items())), rs.rank)
+    return HodgeDeligneDiamond(tuple(sorted(counts.items())))
 
 
 def _dense_row(rs: RootSystem, h):

@@ -9,6 +9,7 @@ from helpers import (
     freudenthal_by_walk_down,
     lie_types_up_to,
     multiplicity_by_weyl_character,
+    weight_from_fund_dense,
     weyl_dimension_by_bilinear,
     weyl_orbit_with_signs,
 )
@@ -47,6 +48,29 @@ def test_fundamental_weight_pairings():
                 from hodgeorbit.rootdata import coroot_pairing
 
                 assert coroot_pairing(rs, w.root_coords, alpha_j) == (1 if i == j else 0)
+
+
+@pytest.mark.parametrize("lie_type", lie_types_up_to(8), ids=str)
+def test_weight_from_fund_matches_dense_product(lie_type):
+    """Seeded integer, negative, Fraction and all-zero fundamental coordinates
+    give the same coordinate tuples, element types included, as the dense
+    product with the Gauss-Jordan inverse."""
+    rs = build_root_system(lie_type)
+    r = rs.rank
+    rng = random.Random(f"{lie_type}")
+    vectors = [(0,) * r, (Fraction(0),) * r]
+    vectors += [tuple(int(i == j) for j in range(r)) for i in range(r)]
+    vectors += [tuple(rng.randint(-3, 3) for _ in range(r)) for _ in range(6)]
+    vectors += [
+        tuple(Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(r))
+        for _ in range(4)
+    ]
+    for fund in vectors:
+        got, want = weight_from_fund(rs, fund), weight_from_fund_dense(rs, fund)
+        assert got == want
+        for coords in ("fund_coords", "root_coords"):
+            types = [type(x) for x in getattr(got, coords)]
+            assert types == [type(x) for x in getattr(want, coords)]
 
 
 def test_fundamental_weight_examples():

@@ -4,8 +4,10 @@ from fractions import Fraction
 import pytest
 from helpers import (
     bilinear_by_sym,
+    coroot_pairing_by_form,
     coroot_s_coords_by_sym,
     dense_root_closure,
+    inverse_cartan_by_gauss_jordan,
     lie_types_up_to,
     weyl_orbit_by_every_node,
     weyl_orbit_with_signs,
@@ -14,12 +16,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hodgeorbit.errors import InvalidRank, NotARoot, NotStronglyOrthogonal
-from hodgeorbit.reps import rho
+from hodgeorbit.reps import fundamental_weights, rho
 from hodgeorbit.rootdata import (
     LieType,
     POSITIVE_ROOT_COUNTS,
     RootSystem,
     _cartan_data,
+    build_root_system,
     cartan_type,
     conjugate_root,
     coroot_pairing,
@@ -122,6 +125,22 @@ def test_coroot_pairing_normalization_and_examples():
     assert coroot_pairing(g2, (2, 1), (0, 1)) == 0
     with pytest.raises(NotARoot):
         coroot_pairing(g2, (1, 0), (1, 2))
+
+
+@pytest.mark.parametrize("lie_type", lie_types_up_to(6), ids=str)
+def test_coroot_pairing_matches_form(lie_type):
+    """Every ordered root pair, and every fundamental weight against every
+    root, pairs as 2 (beta, alpha) / (alpha, alpha) on the dense form."""
+    rs = build_root_system(lie_type)
+    weights = [w.root_coords for w in fundamental_weights(rs)]
+    for alpha in rs.roots:
+        for beta in rs.roots:
+            got = coroot_pairing(rs, beta, alpha)
+            assert type(got) is int
+            assert got == coroot_pairing_by_form(rs, beta, alpha)
+        for w in weights:
+            got, want = coroot_pairing(rs, w, alpha), coroot_pairing_by_form(rs, w, alpha)
+            assert (got, type(got)) == (want, type(want))
 
 
 def test_coroot_pairing_weights():
@@ -376,3 +395,21 @@ def test_cartan_type_splits_block_sums():
         rng.shuffle(perm)
         expected = tuple(sorted(map(_named, parts), key=str))
         assert cartan_type(_relabel(matrix, perm)) == expected
+
+
+INVERSE_CARTAN_TYPES = lie_types_up_to(12) + [
+    LieType("A", 30), LieType("B", 24), LieType("C", 20), LieType("D", 26)
+]
+
+
+@pytest.mark.parametrize("lie_type", INVERSE_CARTAN_TYPES, ids=str)
+def test_inverse_cartan_matches_gauss_jordan(lie_type):
+    rs = build_root_system(lie_type)
+    inv, r = rs.inverse_cartan, rs.rank
+    assert inv == inverse_cartan_by_gauss_jordan(rs)
+    assert all(type(x) is Fraction for row in inv for x in row)
+    product = [
+        [sum(rs.cartan[i][k] * inv[k][j] for k in range(r)) for j in range(r)]
+        for i in range(r)
+    ]
+    assert product == [[int(i == j) for j in range(r)] for i in range(r)]
