@@ -6,9 +6,10 @@ beta_j(E) = 1 determines a bigrading of g by
     p(alpha) = alpha(E),      p(alpha) + q(alpha) = alpha(Y),
     Y = H^{beta_1} + ... + H^{beta_s},
 
-with the Cartan subalgebra sitting at (0, 0).  The codimension, K-orbit
-dimension and LMHS type of the associated boundary orbit are read off the
-bigraded dimensions.
+with the Cartan subalgebra sitting at (0, 0).  Summed in the S-basis, Y is one
+grading element, so p and p + q are two ``grading.root_values`` rows.  The
+codimension, K-orbit dimension and LMHS type of the associated boundary orbit
+are read off the bigraded dimensions.
 """
 
 from __future__ import annotations
@@ -84,13 +85,12 @@ def _require_valid(rs: RootSystem, E, B) -> tuple:
     return canonical_sos(rs, B)
 
 
-def _so_graph(rs: RootSystem, roots, rows=None) -> list[int]:
+def _so_graph(rs: RootSystem, roots) -> list[int]:
     """Bitmask k of the result: the j with roots[j] strongly orthogonal to roots[k].
 
-    For positive roots that is roots[j](H^{roots[k]}) = 0, read off ``rows[k]`` (the
-    ``root_values`` of that coroot), and roots[j] + roots[k] not a root."""
-    if rows is None:
-        rows = [root_values(rs, rs.coroot_s_coords(b)) for b in roots]
+    For positive roots that is roots[j](H^{roots[k]}) = 0, read off the
+    ``root_values`` of that coroot, and roots[j] + roots[k] not a root."""
+    rows = [root_values(rs, rs.coroot_s_coords(b)) for b in roots]
     at = list(map({b: k for k, b in enumerate(rs.positive_roots)}.get, roots))
     n = len(roots)
     adj = [0] * n
@@ -102,13 +102,13 @@ def _so_graph(rs: RootSystem, roots, rows=None) -> list[int]:
     return adj
 
 
-def iter_sos(rs: RootSystem, E, rows=None):
+def iter_sos(rs: RootSystem, E):
     """All nonempty strongly orthogonal subsets of {beta : beta(E) = 1}.
 
-    Canonical (sorted) tuples, each subset exactly once; ``rows`` as in ``_so_graph``.
+    Canonical (sorted) tuples, each subset exactly once.
     """
     cand = sos_candidates(rs, E)
-    compat = _so_graph(rs, cand, rows)
+    compat = _so_graph(rs, cand)
 
     def extend(pool, current):
         k_pool = pool
@@ -202,8 +202,7 @@ class HodgeDeligneDiamond:
 def bigrading(rs: RootSystem, E, B) -> HodgeDeligneDiamond:
     """h^{p,q} = #{alpha : alpha(E) = p, alpha(Y) = p + q} plus rank at (0,0)."""
     B = _require_valid(rs, E, B)
-    rows = [root_values(rs, rs.coroot_s_coords(b)) for b in B]
-    dia = _fast_diamond(rs, root_values(rs, E), rows)
+    dia = _fast_diamond(rs, E, B)
     _check_diamond(rs, dia)
     return dia
 
@@ -365,11 +364,9 @@ def weyl_flip(rs: RootSystem, i: int) -> tuple:
     # H^{highest} = S^i, turning this into the S^i-eigenvalue statement
     h = rs.coroot_s_coords(alpha_i)
     h_tilde = rs.coroot_s_coords(rs.highest_root)
-    for beta in rs.positive_roots:
-        for alpha in (beta, tuple(-c for c in beta)):
-            ell = evaluate(alpha, h)
-            img = apply_word(alpha)
-            if evaluate(img, h_tilde) != -ell:
+    for beta, ell in zip(rs.positive_roots, root_values(rs, h)):
+        for alpha, val in ((beta, ell), (tuple(-c for c in beta), -ell)):
+            if evaluate(apply_word(alpha), h_tilde) != -val:
                 raise AssertionError("flip does not negate the grading")
     return tuple(j + 1 for j in word)
 
@@ -452,14 +449,12 @@ def boundary_census(rs: RootSystem, i: int) -> tuple[CensusEntry, ...]:
     """
     _require_fundamental_adjoint(rs, i)
     E = grading_element_for(rs, {i})
-    p_vals = root_values(rs, E)
-    pair_rows = {b: root_values(rs, rs.coroot_s_coords(b)) for b in sos_candidates(rs, E)}
-    sets = list(iter_sos(rs, E, list(pair_rows.values())))
+    sets = list(iter_sos(rs, E))
     labels = _levi_weyl_classes(rs, i, sets)
     by_diamond: dict = {}  # diamond -> first set of each class, in iter_sos order
     for k, B in enumerate(sets):
         if labels[k] == k:
-            dia = _fast_diamond(rs, p_vals, [pair_rows[b] for b in B])
+            dia = _fast_diamond(rs, E, B)
             by_diamond.setdefault(dia, []).append(B)
     entries = []
     for dia, firsts in by_diamond.items():
@@ -479,11 +474,12 @@ def boundary_census(rs: RootSystem, i: int) -> tuple[CensusEntry, ...]:
     return tuple(sorted(entries, key=lambda e: (e.invariants.codim, e.representative)))
 
 
-def _fast_diamond(rs, p_vals, rows) -> HodgeDeligneDiamond:
-    """Diamond from the ``root_values`` of E and of each H^b, b in B (none: Y = 0)."""
+def _fast_diamond(rs, E, B) -> HodgeDeligneDiamond:
+    """Diamond from the ``root_values`` of E and of Y = sum_b H^b, one S-basis
+    vector (for B empty, Y is the empty sum and takes 0 on every root)."""
     counts: dict = {}
-    y_vals = [sum(vals) for vals in zip(*rows)] if rows else [0] * len(p_vals)
-    for p, y in zip(p_vals, y_vals):
+    Y = [sum(col) for col in zip(*map(rs.coroot_s_coords, B))]
+    for p, y in zip(root_values(rs, E), root_values(rs, Y)):
         q = y - p
         counts[(p, q)] = counts.get((p, q), 0) + 1
         counts[(-p, -q)] = counts.get((-p, -q), 0) + 1

@@ -131,17 +131,19 @@ class StructureConstants:
         self.rs = rs
         positive = rs.positive_roots
         r, npos = rs.rank, len(positive)
-        self._norm = {b: rs.bilinear(b, b) for b in positive}
+        self._norm = {b: 2 * rs.root_length(b) for b in positive}
         self._neg = neg = {b: tuple(-c for c in b) for b in rs.roots}
         self.basis_roots = list(positive) + [neg[b] for b in positive]
         self.root_index = {b: r + k for k, b in enumerate(self.basis_roots)}
         self.dim = r + 2 * npos
+        # row j: a(H^{alpha_j}) for every positive root a
+        values = [root_values(rs, rs.coroot_s_coords(a)) for a in rs.simple_roots]
         ad = self.ad = [{} for _ in range(self.dim)]
         for k, a in enumerate(positive):
             ia, ineg = r + k, r + npos + k
             # [H^{alpha_j}, x^{+-a}] = +-a(H^{alpha_j}) x^{+-a}
-            for j, pair in enumerate(rs.pairings(a)):
-                if pair:
+            for j, row in enumerate(values):
+                if pair := row[k]:
                     ad[j][ia], ad[ia][j] = ((ia, pair),), ((ia, -pair),)
                     ad[j][ineg], ad[ineg][j] = ((ineg, -pair),), ((ineg, pair),)
             # [x^a, x^{-a}] = H^a = -[x^{-a}, x^a]
@@ -151,7 +153,6 @@ class StructureConstants:
         self._build_table()
         # Killing form closed-form data: B(H^i, H^j) = sum_g g(H^i) g(H^j),
         # twice the sum over the positive roots
-        values = [root_values(rs, rs.coroot_s_coords(a)) for a in rs.simple_roots]
         self.killing_h = tuple(
             tuple(2 * sum(a * b for a, b in zip(vi, vj)) for vj in values) for vi in values
         )

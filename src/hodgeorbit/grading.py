@@ -2,9 +2,12 @@
 
 ``root_values`` is the one place a grading element h meets the roots: it gives
 alpha(h) for every positive root as a sum of scaled coordinate columns, one
-per nonzero h_j, and -alpha takes the negated value.  ``eigen_dims`` counts
-those values as the eigenspace dimensions of g.  ``evaluate`` is for weights
-and single vectors.
+per nonzero h_j, and -alpha takes the negated value.  Every pairing with all
+positive roots goes through it: a weight lam in fundamental coordinates as
+h_j = d_j lam_j, a coroot H^b as its S-coordinates, and the boundary diamond
+as (alpha(E), alpha(Y)) with Y = sum_b H^b.  ``eigen_dims`` counts those
+values as the eigenspace dimensions of g.  ``evaluate`` is for weights and
+single vectors.
 """
 
 from __future__ import annotations

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import NotDegreeOne, NotMaximalParabolic
-from .grading import evaluate, grading_element_for
+from .grading import evaluate, grading_element_for, root_values
 from .rootdata import RootSystem, cartan_type
 
 #: classical names for the C_o of the fundamental adjoint varieties
@@ -67,14 +67,14 @@ def _descriptor_for(rs: RootSystem, i: int, deleted) -> FlagDescriptor:
         j for j in keep if rs.cartan[i - 1][j - 1] != 0 and j != i
     )
     types = cartan_type([[rs.cartan[a - 1][b - 1] for b in keep] for a in keep])
-    # dimension: positive roots of the sub-system with nonzero value on the
-    # marked grading element; sub-system roots = roots supported on `keep`
-    dim = 0
-    for beta in rs.positive_roots:
-        if any(beta[j - 1] for j in deleted):
-            continue
-        if any(beta[j - 1] for j in marked):
-            dim += 1
+    # dimension: positive roots of the sub-system (0 on the deleted nodes)
+    # that are nonzero on the marked ones; indicator vectors, as marked may
+    # be empty
+    on_deleted, on_marked = (
+        root_values(rs, [int(j in nodes) for j in range(1, rs.rank + 1)])
+        for nodes in (deleted, marked)
+    )
+    dim = sum(1 for x, y in zip(on_deleted, on_marked) if not x and y)
     name = None
     fam = rs.lie_type.family
     if fam in "BD":

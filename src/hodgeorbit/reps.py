@@ -1,11 +1,12 @@
 """Weights, dimensions, weight multiplicities and embedding degrees.
 
 Everything is exact, and the hot paths use integers only.  A weight with
-fundamental-weight coordinates lam pairs with a positive root
-alpha = sum_j k_j alpha_j as (lam, alpha) = sum_j k_j d_j lam_j, so the Weyl
-dimension formula and the degree product are integer products with one exact
-division at the end.  The Freudenthal recursion runs over the dominant weights
-below lam only (Moody-Patera), found by subtracting positive roots.  It reads
+fundamental-weight coordinates lam pairs with a positive root alpha as
+(lam, alpha) = alpha(h) for h_j = d_j lam_j, so ``grading.root_values`` of
+d o lam gives every pairing at once.  The Weyl dimension formula and the
+degree product are products of two such rows with one exact division at the
+end.  The Freudenthal recursion runs over the dominant weights below lam only
+(Moody-Patera), found by subtracting positive roots.  It reads
 m(mu + k alpha) at the dominant conjugate, reached by integer simple
 reflections on fundamental coordinates, and ends each root string at its
 first zero, since strings have no gaps.  Each dominant weight is then
@@ -22,10 +23,10 @@ import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add, mul, sub
+from operator import add, sub
 
 from .errors import DimensionCapExceeded, NotDominant
-from .grading import evaluate
+from .grading import evaluate, root_values
 from .rootdata import RootSystem
 
 DEFAULT_DIM_CAP = 10**6
@@ -118,17 +119,16 @@ def _exact_quotient(num: int, den: int, what: str) -> int:
 
 
 def weyl_dimension(rs: RootSystem, lam: Weight) -> int:
-    """dim V_lam = prod_{alpha>0} (lam+rho, alpha) / (rho, alpha).
-
-    Both pairings are integers: (lam+rho, alpha) = sum_j k_j d_j (lam_j + 1).
-    """
+    """dim V_lam = prod_{alpha>0} (lam+rho, alpha) / (rho, alpha)."""
     _check_dominant_integral(lam)
-    shifted = [int(c) + 1 for c in lam.fund_coords]
-    num = den = 1
-    for kd in rs.scaled_positive_roots:
-        num *= sum(map(mul, kd, shifted))
-        den *= sum(kd)
-    return _exact_quotient(num, den, "Weyl dimension")
+    return _weyl_dimension(rs, [int(c) for c in lam.fund_coords])
+
+
+def _weyl_dimension(rs: RootSystem, fund) -> int:
+    """``weyl_dimension`` on integer fundamental coordinates, from the
+    ``root_values`` of d o (lam + rho) and of d o rho = d."""
+    num = math.prod(root_values(rs, [d * (c + 1) for d, c in zip(rs.lengths, fund)]))
+    return _exact_quotient(num, math.prod(root_values(rs, rs.lengths)), "Weyl dimension")
 
 
 def weights_with_E_value_one(rs: RootSystem, E) -> list[Weight]:
@@ -189,14 +189,14 @@ def freudenthal_multiplicities(rs: RootSystem, lam: Weight) -> WeightMultiset:
     # a weight is its integer fundamental coordinates mu_f; its depth
     # n = lam - mu is a non-negative integer vector in simple-root coordinates
     lam_f = tuple(int(c) for c in lam.fund_coords)
-    strings = [(alpha, rs.pairings(alpha), kd, rs.bilinear(alpha, alpha))
-               for alpha, kd in zip(rs.positive_roots, rs.scaled_positive_roots)]
+    strings = [(alpha, rs.pairings(alpha), 2 * rs.root_length(alpha))
+               for alpha in rs.positive_roots]
     # every dominant weight below lam is reached through dominant weights by
     # subtracting positive roots (Stembridge 1998)
     depth = {lam_f: (0,) * rs.rank}
     dominant = [lam_f]
     for mu_f in dominant:
-        for alpha, alpha_f, _, _ in strings:
+        for alpha, alpha_f, _ in strings:
             nu_f = tuple(map(sub, mu_f, alpha_f))
             if min(nu_f) >= 0 and nu_f not in depth:
                 depth[nu_f] = tuple(map(add, depth[mu_f], alpha))
@@ -208,11 +208,11 @@ def freudenthal_multiplicities(rs: RootSystem, lam: Weight) -> WeightMultiset:
         denom = sum(n * d * (l + m + 2)
                     for n, d, l, m in zip(depth[mu_f], rs.lengths, lam_f, mu_f))
         acc = 0
-        for _, alpha_f, kd, norm in strings:
+        pairs = root_values(rs, [d * m for d, m in zip(rs.lengths, mu_f)])
+        for (_, alpha_f, norm), pair in zip(strings, pairs):
             # m(mu + k alpha) is read at its dominant conjugate, which lies
             # higher, so it is already known; the string has no gaps
             # (Humphreys 21.3), so it ends at its first zero
-            pair = sum(map(mul, kd, mu_f))
             nu_f, k = mu_f, 0
             while True:
                 nu_f = tuple(map(add, nu_f, alpha_f))
@@ -256,23 +256,18 @@ def _degree_by_product(rs: RootSystem, mu: Weight) -> tuple[int, int]:
 
     The product runs over the n positive roots alpha with (mu, alpha) != 0.
     """
-    mu_f = [int(c) for c in mu.fund_coords]
-    n = 0
-    num = den = 1
-    for kd in rs.scaled_positive_roots:
-        pair = sum(map(mul, kd, mu_f))
-        if pair:
-            n += 1
-            num *= pair
-            den *= sum(kd)
+    pairs = root_values(rs, [d * int(c) for d, c in zip(rs.lengths, mu.fund_coords)])
+    kept = [(pair, rho) for pair, rho in zip(pairs, root_values(rs, rs.lengths)) if pair]
+    num = math.prod(pair for pair, _ in kept)
+    den = math.prod(rho for _, rho in kept)
+    n = len(kept)
     return n, _exact_quotient(math.factorial(n) * num, den, "degree")
 
 
 def _degree_by_hilbert_fit(rs: RootSystem, mu: Weight, n: int) -> int:
     """n-th finite difference of k -> dim V_{k mu}, i.e. n! * leading coeff."""
-    fund, root = mu.fund_coords, mu.root_coords
-    values = [weyl_dimension(rs, Weight(tuple(k * c for c in fund), tuple(k * c for c in root)))
-              for k in range(n + 1)]
+    fund = [int(c) for c in mu.fund_coords]
+    values = [_weyl_dimension(rs, [k * c for c in fund]) for k in range(n + 1)]
     for _ in range(n):
         values = [b - a for a, b in zip(values, values[1:])]
     return values[0]

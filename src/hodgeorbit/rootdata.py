@@ -20,7 +20,10 @@ they are nonzero.  It acts on coordinate tuples, integer roots and
 of root indices is stored: for the ``classical_census`` benchmark workload
 such tables would take 2.4 MB (tracemalloc), 7% of its peak.  The one stored
 transpose is ``positive_columns``, the positive roots' coordinates by column
-for ``grading.root_values``: 0.37 MB on B36 (``sys.getsizeof``).  Their Gram
+for ``grading.root_values``: 0.37 MB on B36 (``sys.getsizeof``).  It is the
+one copy of the roots that anything pairs with all of them: a weight lam in
+fundamental coordinates pairs as (lam, alpha) = alpha(h) with h_j = d_j lam_j,
+and a coroot H^b as its S-coordinates ``coroot_s_coords``.  The columns' Gram
 matrix also gives ``inverse_cartan`` without elimination.
 
 W preserves length and every root is conjugate to a simple root, so the tree
@@ -175,8 +178,6 @@ def cartan_type(matrix) -> tuple[LieType, ...]:
 
 def _cartan_isomorphic(a, b) -> bool:
     n = len(a)
-    if len(b) != n:
-        return False
 
     def profile(m, i):
         return tuple(sorted(m[i][j] for j in range(n) if j != i))
@@ -307,17 +308,6 @@ class RootSystem:
     def positive_columns(self) -> tuple[tuple[int, ...], ...]:
         """Column j: the j-th coordinate of every positive root, in order."""
         return tuple(zip(*self.positive_roots))
-
-    @cached_property
-    def scaled_positive_roots(self) -> tuple[Coords, ...]:
-        """Positive roots alpha = sum_j k_j alpha_j, scaled to (k_j d_j)_j.
-
-        For lam in fundamental-weight coordinates, (lam, alpha) = sum_j k_j d_j lam_j.
-        """
-        return tuple(
-            tuple(k * d for k, d in zip(beta, self.lengths))
-            for beta in self.positive_roots
-        )
 
     @cached_property
     def inverse_cartan(self) -> tuple[tuple[Fraction, ...], ...]:

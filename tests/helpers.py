@@ -25,7 +25,8 @@ the mixed-sign structure constants come from visiting every ordered pair of
 positive roots.  The whole structure-constant table is also rebuilt in three
 passes: the positive constants, then the mixed-sign ones, then their
 negatives.  The g2 matrices on V7 come from a search over the signs of the
-lowering entries, checked on every basis bracket.
+lowering entries, checked on every basis bracket.  The dimension of a
+component of C_o is counted by walking each positive root's support.
 """
 
 import functools
@@ -212,8 +213,8 @@ def freudenthal_by_walk_down(rs: RootSystem, lam: Weight) -> WeightMultiset:
     r = rs.rank
     lam_f = [int(c) for c in lam.fund_coords]
     strings = [
-        (alpha, kd, rs.bilinear(alpha, alpha))
-        for alpha, kd in zip(rs.positive_roots, rs.scaled_positive_roots)
+        (alpha, tuple(map(mul, alpha, rs.lengths)), rs.bilinear(alpha, alpha))
+        for alpha in rs.positive_roots
     ]
     top = (0,) * r
     mult = {top: 1}
@@ -341,6 +342,23 @@ def weyl_dimension_by_bilinear(rs: RootSystem, lam):
         )
     assert num.denominator == 1
     return int(num)
+
+
+def co_dimension_by_support(rs: RootSystem, i, deleted):
+    """Dimension of the C_o component at node i of the diagram minus ``deleted``.
+
+    The sub-system's positive roots are those supported off ``deleted``; the
+    component counts the ones whose support meets a kept neighbour of i.
+    """
+    marked = {j for j in range(1, rs.rank + 1)
+              if j not in deleted and j != i and rs.cartan[i - 1][j - 1] != 0}
+    dim = 0
+    for beta in rs.positive_roots:
+        if any(beta[j - 1] for j in deleted):
+            continue
+        if any(beta[j - 1] for j in marked):
+            dim += 1
+    return dim
 
 
 def _diamond_by_roots(rs: RootSystem, p_vals, rows):

@@ -104,6 +104,30 @@ def test_orbit_explicit_sos():
     assert row[2] == "3"  # codim of Example with beta = 2a1+a2
 
 
+def test_orbit_sos_outside_adjoint_shape_has_no_k_or_mu(schema):
+    # B3 at node 1 is not fundamental adjoint: the diamond fits no template,
+    # and its top E-eigenspace is not one-dimensional
+    argv = ["orbit", "--type", "B3", "--node", "1", "--sos", "1,0,0"]
+    res = _run(argv)
+    assert res.exit_code == 0
+    assert res.output.splitlines()[1].split("\t") == ["1", "1,0,0", "1", "-", "-", "other", "1"]
+    res = _run(argv + ["--format", "json"])
+    assert res.exit_code == 0
+    payload = json.loads(res.output)
+    jsonschema.validate(payload, schema)
+    (row,) = payload["rows"]
+    assert (row["k"], row["mu"], row["lmhs"]) == (None, None, "other")
+
+
+def test_orbit_sos_root_and_its_negative_are_not_orthogonal():
+    res = _run(["orbit", "--type", "B3", "--node", "2", "--sos", "0,1,0|0,-1,0"])
+    assert res.exit_code == 3
+    assert res.stderr == (
+        "invalid SOS: (0, -1, 0) has E-value -1, need 1\n"
+        "invalid SOS: (0, 1, 0) and (0, -1, 0) are not orthogonal\n"
+    )
+
+
 def test_orbit_f4_auto_c_column():
     res = _run(["orbit", "--type", "F4", "--node", "1", "--chain", "auto"])
     assert res.exit_code == 0

@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from helpers import lie_types_up_to
+from helpers import co_dimension_by_support, lie_types_up_to
 from hodgeorbit.errors import NotDegreeOne, NotMaximalParabolic
 from hodgeorbit.grading import evaluate, grading_element_for, parabolic
 from hodgeorbit.lines import (
@@ -80,6 +80,18 @@ def test_co_components_general_index_set():
     # and for E6 with I = {1, 2}
     comps = co_components(root_system("E6"), {1, 2})
     assert len(comps) == 2
+
+
+def test_co_dimensions_match_root_support_oracle():
+    # every node, and every pair of nodes, of every type of rank <= 8
+    for lie_type in lie_types_up_to(8):
+        rs = build_root_system(lie_type)
+        nodes = range(1, rs.rank + 1)
+        for i in nodes:
+            assert co_descriptor(rs, {i}).dimension == co_dimension_by_support(rs, i, {i})
+        for I in itertools.combinations(nodes, 2):
+            dims = [d.dimension for d in co_components(rs, I)]
+            assert dims == [co_dimension_by_support(rs, i, set(I)) for i in I], (lie_type, I)
 
 
 def test_cone_horizontal():
