@@ -48,7 +48,14 @@ def canonical_sos(rs: RootSystem, B) -> tuple:
 
 
 def validate_sos(rs: RootSystem, E, B) -> list[str]:
-    """Every violated condition of the strongly-orthogonal-set definition."""
+    """Every violated condition of the strongly-orthogonal-set definition.
+
+    Pairwise orthogonal roots are linearly independent, so a set with more than
+    ``rs.rank`` members fails on that alone; it is the one violation reported,
+    before any pair is checked.
+    """
+    if len(B) > rs.rank:
+        return [f"{len(B)} roots, more than the rank {rs.rank}"]
     violations = []
     roots = []
     for b in B:

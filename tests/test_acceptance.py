@@ -239,7 +239,7 @@ def test_criterion_08_tables_3_4_7():
 
 
 def test_criterion_09_table8_schubert_dims():
-    from hodgeorbit.cli import TABLE8_E7, TABLE8_E8, _as_vector
+    from hodgeorbit.tables import TABLE8_E7, TABLE8_E8, _as_vector
 
     e7 = root_system("E7")
     for spec in TABLE8_E7:

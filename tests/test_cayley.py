@@ -75,6 +75,33 @@ def test_validate_sos():
     assert any("not a root" in v for v in validate_sos(g2, E, [(1, 2)]))
 
 
+def test_validate_sos_over_the_rank_is_one_violation():
+    rs = root_system("B3")
+    E = grading_element_for(rs, {2})
+    cycle = sos_candidates(rs, E)
+    B = [cycle[k % len(cycle)] for k in range(2000)]
+    assert validate_sos(rs, E, B) == ["2000 roots, more than the rank 3"]
+    four = [(0, 1, 0), (1, 1, 0), (0, 1, 1), (1, 1, 1)]
+    assert validate_sos(rs, E, four) == ["4 roots, more than the rank 3"]
+    # at the rank itself the pairs are checked
+    assert validate_sos(rs, E, four[:3]) == [
+        "difference (-1, 0, 0) of (0, 1, 0) and (1, 1, 0) is a root",
+        "difference (0, 0, -1) of (0, 1, 0) and (0, 1, 1) is a root",
+    ]
+
+
+def test_orbit_sos_over_the_rank_exits_3_with_one_line():
+    from click.testing import CliRunner
+
+    from hodgeorbit.cli import main
+
+    cycle = ("0,1,0", "1,1,0", "0,1,1", "1,1,1", "0,1,2", "1,1,2")
+    sos = "|".join(cycle[k % 6] for k in range(2000))
+    res = CliRunner().invoke(main, ["orbit", "--type", "B3", "--node", "2", "--sos", sos])
+    assert res.exit_code == 3
+    assert res.stderr == "invalid SOS: 2000 roots, more than the rank 3\n"
+
+
 def test_search_sos_g2():
     g2 = root_system("G2")
     r = search_sos(g2, grading_element_for(g2, {2}))
