@@ -14,6 +14,7 @@ are read off the bigraded dimensions.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cache
 from operator import add
@@ -484,13 +485,12 @@ def boundary_census(rs: RootSystem, i: int) -> tuple[CensusEntry, ...]:
 def _fast_diamond(rs, E, B) -> HodgeDeligneDiamond:
     """Diamond from the ``root_values`` of E and of Y = sum_b H^b, one S-basis
     vector (for B empty, Y is the empty sum and takes 0 on every root)."""
-    counts: dict = {}
     Y = [sum(col) for col in zip(*map(rs.coroot_s_coords, B))]
-    for p, y in zip(root_values(rs, E), root_values(rs, Y)):
-        q = y - p
-        counts[(p, q)] = counts.get((p, q), 0) + 1
-        counts[(-p, -q)] = counts.get((-p, -q), 0) + 1
-    counts[(0, 0)] = counts.get((0, 0), 0) + rs.rank
+    counts = {(0, 0): rs.rank}
+    # few distinct (alpha(E), alpha(Y)) pairs: count them, then fold each in
+    for (p, y), n in Counter(zip(root_values(rs, E), root_values(rs, Y))).items():
+        counts[p, y - p] = counts.get((p, y - p), 0) + n
+        counts[-p, p - y] = counts.get((-p, p - y), 0) + n
     return HodgeDeligneDiamond(tuple(sorted(counts.items())))
 
 

@@ -7,6 +7,7 @@ conforming to the schema shipped in ``golden/schema_v1.json``.
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import sys
@@ -22,8 +23,8 @@ SCHEMA_VERSION = 1
 
 #: the largest rank for which ``roots`` (the listing) and ``orbit`` build a
 #: root system; above it they exit 2 before building.  Measured on 2 vCPU,
-#: CPython 3.11, as whole processes: the D64 listing takes 0.45 s and 25 MB,
-#: the D64 census at node 2 1.3 s and 40 MB; a D128 listing takes 1.8 s and 88 MB.
+#: CPython 3.11, as whole processes: the D64 listing takes 0.4-0.56 s and 24 MB
+#: (TSV) or 30 MB (JSON), the D64 census at node 2 1.3-1.6 s and 32 MB.
 MAX_BUILD_RANK = 64
 
 
@@ -52,9 +53,14 @@ def _parse_sos(text):
         )
 
 
-def _echo_json(command, **fields):
+def _envelope(command, **fields):
+    """One command's JSON envelope, as the line it prints."""
     fields.update(schema_version=SCHEMA_VERSION, command=command)
-    click.echo(json.dumps(fields, sort_keys=True))
+    return json.dumps(fields, sort_keys=True) + "\n"
+
+
+def _echo_json(command, **fields):
+    click.echo(_envelope(command, **fields), nl=False)
 
 
 @click.group()
@@ -70,30 +76,31 @@ def main():
 def roots(type_str, rank, count_only, fmt):
     """List the positive roots with coords, heights and lengths."""
     lie_type = _parse_type(type_str, rank)
-    count = POSITIVE_ROOT_COUNTS[lie_type.family](lie_type.rank)
-    fields = {"type": str(lie_type), "count": count}
     if count_only:
+        count = POSITIVE_ROOT_COUNTS[lie_type.family](lie_type.rank)
         if fmt == "json":
-            _echo_json("roots", **fields)
+            _echo_json("roots", type=str(lie_type), count=count)
         else:
             click.echo(count)
         return
-    rs = _build(lie_type)
+    click.echo(_listing(_build(lie_type), fmt), nl=False)
+
+
+@functools.cache
+def _listing(rs, fmt) -> str:
+    """The text ``roots`` prints for ``rs`` in ``fmt``, rendered once.  ``rs``
+    comes from the cached ``build_root_system``, so a listing is kept exactly
+    as long as its root system."""
     long_d = max(rs.lengths)
-    rows = [
-        {
-            "coords": list(b),
-            "height": sum(b),
-            "length": "long" if rs.root_length(b) == long_d else "short",
-        }
-        for b in rs.positive_roots
-    ]
+    rows = [(b, sum(b), "long" if rs.root_length(b) == long_d else "short")
+            for b in rs.positive_roots]
     if fmt == "json":
-        _echo_json("roots", roots=rows, **fields)
-        return
-    click.echo("coords\theight\tlength")
-    for r in rows:
-        click.echo(f"{','.join(map(str, r['coords']))}\t{r['height']}\t{r['length']}")
+        lie_type = rs.lie_type
+        count = POSITIVE_ROOT_COUNTS[lie_type.family](lie_type.rank)
+        roots = [{"coords": list(b), "height": h, "length": ln} for b, h, ln in rows]
+        return _envelope("roots", type=str(lie_type), count=count, roots=roots)
+    return "".join(["coords\theight\tlength\n",
+                    *(f"{','.join(map(str, b))}\t{h}\t{ln}\n" for b, h, ln in rows)])
 
 
 def _diamond_json(dia):

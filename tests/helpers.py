@@ -31,6 +31,7 @@ component of C_o is counted by walking each positive root's support.
 
 import functools
 import itertools
+import math
 from fractions import Fraction
 from operator import mul, sub
 
@@ -76,8 +77,11 @@ def weyl_orbit_with_signs(rs: RootSystem, start):
 
     Any path of simple reflections to a point has the parity of the group
     element carrying the base point there, so BFS parities are well-defined.
+    W acts linearly, so the search runs on ``start`` scaled to integers by the
+    lcm of its denominators, and the orbit is divided back at the end.
     """
-    start = tuple(start)
+    scale = math.lcm(*(Fraction(c).denominator for c in start))
+    start = tuple(int(c * scale) for c in start)
     out = {start: 1}
     frontier = [start]
     while frontier:
@@ -95,7 +99,7 @@ def weyl_orbit_with_signs(rs: RootSystem, start):
                     out[img] = -sign
                     nxt.append(img)
         frontier = nxt
-    return out
+    return {tuple(Fraction(c, scale) for c in vec): sign for vec, sign in out.items()}
 
 
 def weyl_orbit_by_every_node(rs: RootSystem, starts, nodes=None):

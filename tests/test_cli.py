@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import lie_types_up_to
-from hodgeorbit.cli import MAX_BUILD_RANK, TABLE_IDS, main, render_table
+from hodgeorbit.cli import MAX_BUILD_RANK, TABLE_IDS, _listing, main, render_table
 from hodgeorbit.rootdata import build_root_system, root_system
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "..", "golden")
@@ -355,6 +355,45 @@ def test_rank_cap_is_inclusive():
     res = _run(["roots", "--type", "A", "--rank", str(MAX_BUILD_RANK), "--format", "json"])
     assert res.exit_code == 0
     assert len(json.loads(res.output)["roots"]) == count
+
+
+@pytest.mark.parametrize("name", ["B36", "D26"])
+def test_roots_listing_repeats_are_served_from_memory(name):
+    first = {}
+    for fmt in ("json", "tsv"):
+        res = _run(["roots", "--type", name, "--format", fmt])
+        assert res.exit_code == 0
+        first[fmt] = res.stdout_bytes
+        hits = _listing.cache_info().hits
+        res = _run(["roots", "--type", name, "--format", fmt])
+        assert res.exit_code == 0
+        assert res.stdout_bytes == first[fmt]
+        assert _listing.cache_info().hits == hits + 1
+    # the TSV request comes after the JSON listing is in memory
+    header, *lines = first["tsv"].decode().splitlines()
+    assert header == "coords\theight\tlength"
+    tsv_rows = []
+    for line in lines:
+        coords, height, length = line.split("\t")
+        tsv_rows.append(([int(c) for c in coords.split(",")], int(height), length))
+    payload = json.loads(first["json"])
+    json_rows = [(r["coords"], r["height"], r["length"]) for r in payload["roots"]]
+    assert tsv_rows == json_rows
+    assert len(json_rows) == payload["count"] == len(root_system(name).positive_roots)
+
+
+def test_count_only_and_over_cap_leave_the_listing_memo_alone():
+    over = MAX_BUILD_RANK + 1
+    misses = _listing.cache_info().misses
+    for argv, code in (
+        (["roots", "--type", "D64", "--count-only"], 0),
+        (["roots", "--type", "D64", "--count-only", "--format", "json"], 0),
+        (["roots", "--type", "A", "--rank", str(over), "--count-only"], 0),
+        (["roots", "--type", "A", "--rank", str(over)], 2),
+        (["roots", "--type", f"D{over}", "--format", "json"], 2),
+    ):
+        assert _run(argv).exit_code == code
+    assert _listing.cache_info().misses == misses
 
 
 #: every valid type the fuzz test builds; larger ones are above the build cap
