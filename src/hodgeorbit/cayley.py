@@ -25,6 +25,7 @@ from .errors import (
     NotFundamentalAdjoint,
 )
 from .grading import (
+    _check_index_set,
     eigen_dims,
     evaluate,
     grading_element_for,
@@ -345,6 +346,7 @@ def weyl_flip(rs: RootSystem, i: int) -> tuple:
     Applying r_{j_1} first.  The induced action maps the H^{alpha_i}-eigenvalue
     l root set onto the S^i-eigenvalue -l root set, which is verified.
     """
+    _check_index_set(rs, {i})
     alpha_i = rs.simple_roots[i - 1]
     if rs.root_length(alpha_i) != rs.root_length(rs.highest_root):
         raise LengthMismatch(f"alpha_{i} and the highest root have different lengths")

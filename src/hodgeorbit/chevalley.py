@@ -18,11 +18,13 @@ N_{y,x}, N_{-x,-y} and the mixed-sign constants of the cyclic relation.
 
 Elements of g are sparse dicts over the basis (H^{alpha_1}, .., H^{alpha_r},
 x^alpha in root order, positives first, then their negatives in the same
-order).  The bracket table holds one integer row per basis index: ``ad[i][j]``
-is ((k, c), ...) with [e_i, e_j] = sum c e_k, written beside ``n_table`` as
-each constant is recorded.  Elements handed out or taken in (the rational
-form, Cayley standard triples, sl2 matrices) carry Gaussian-rational scalars,
-so the compact real form stays exact.
+order).  The bracket table ``ad`` is the one store of structure constants: it
+holds one integer row per basis index, ``ad[i][j]`` = ((k, c), ...) with
+[e_i, e_j] = sum c e_k, and the walk reads the constants it has recorded back
+from it.  Basis elements and brackets of them carry integer scalars.  The
+rational form and the Cayley standard triples it hands out carry
+Gaussian-rational scalars, so the compact real form stays exact; both are
+checked in integers first.
 
 The rational form is verified in Gaussian integers: its members h^j, u^beta,
 v^beta have entries in {+-1, +-i}, so they are converted once to (re, im)
@@ -103,15 +105,11 @@ class GaussianRational:
     def __hash__(self):
         return hash((self.re, self.im))
 
-    def norm_sq(self) -> Fraction:
-        return self.re * self.re + self.im * self.im
-
     def __repr__(self):
         return f"({self.re}+{self.im}i)"
 
 
 I_UNIT = GaussianRational(Fraction(0), Fraction(1))
-HALF_I = GaussianRational(Fraction(0), Fraction(1, 2))
 
 
 # -- structure constants ------------------------------------------------------
@@ -149,7 +147,6 @@ class StructureConstants:
             # [x^a, x^{-a}] = H^a = -[x^{-a}, x^a]
             coroot = tuple((j, c) for j, c in enumerate(rs.coroot(a)) if c)
             ad[ia][ineg], ad[ineg][ia] = coroot, tuple((j, -c) for j, c in coroot)
-        self.n_table: dict = {}
         self._build_table()
         # Killing form closed-form data: B(H^i, H^j) = sum_g g(H^i) g(H^j),
         # twice the sum over the positive roots
@@ -167,11 +164,20 @@ class StructureConstants:
     def _build_table(self):
         """One walk over the positive roots gamma in (height, coords) order.
         The decompositions gamma = a + b (a before b) come in ascending a, so
-        the first is extraspecial; the others follow from the Jacobi identity
-        on x^a, x^b, x^{-eps} through constants of lower height."""
-        table, neg = self.n_table, self._neg
+        the first is extraspecial and is kept in ``extraspecial``; the others
+        follow from the Jacobi identity on x^a, x^b, x^{-eps} through
+        constants of lower height, read back from ``ad``."""
+        neg, index, ad = self._neg, self.root_index, self.ad
         positive = self.rs.positive_roots
         pos = {b: k for k, b in enumerate(positive)}
+        self.extraspecial = {}
+
+        def n(a, b):
+            """N_{a,b} as recorded so far; 0 when a, b or a + b is not a root
+            (never asked for b = -a, whose entry is H^a)."""
+            entry = ad[index[a]].get(index.get(b)) if a in index else None
+            return entry[0][1] if entry else 0
+
         for gamma in positive:
             height = sum(gamma)
             pairs = []
@@ -183,15 +189,13 @@ class StructureConstants:
                     pairs.append((a, b))
             if not pairs:
                 continue  # gamma is simple
-            eps, eta = pairs[0]
+            eps, eta = self.extraspecial[gamma] = pairs[0]
             self._record(eps, eta, gamma, self._string_length(eps, eta))
-            n_gamma_meps = table[(gamma, neg[eps])]
+            n_gamma_meps = n(gamma, neg[eps])
             for a, b in pairs[1:]:
-                # N_{c,d} = 0 when c + d is not a root
                 a_eps = tuple(x - y for x, y in zip(a, eps))
                 b_eps = tuple(x - y for x, y in zip(b, eps))
-                term = table.get((a, neg[eps]), 0) * table.get((a_eps, b), 0)
-                term += table.get((b, neg[eps]), 0) * table.get((a, b_eps), 0)
+                term = n(a, neg[eps]) * n(a_eps, b) + n(b, neg[eps]) * n(a, b_eps)
                 val = _exact(term, n_gamma_meps)
                 if abs(val) != (expected := self._string_length(a, b)):
                     raise AssertionError(
@@ -200,12 +204,11 @@ class StructureConstants:
                 self._record(a, b, gamma, val)
 
     def _record(self, x, y, s, n):
-        """N_{x,y} = n for positive x + y = s, written with its sign partners
-        into ``n_table`` and ``ad``: for (x, y, n) and (y, x, -n), N_{-x,-y} =
-        -n and, by the cyclic relation, N_{s,-x} = N_{x,-s} = -(y,y) n / (s,s)
-        with N_{-x,s} = N_{-s,x} their negatives."""
-        neg, norm, index = self._neg, self._norm, self.root_index
-        table, ad = self.n_table, self.ad
+        """N_{x,y} = n for positive x + y = s, written into ``ad`` with its
+        sign partners: for (x, y, n) and (y, x, -n), N_{-x,-y} = -n and, by
+        the cyclic relation, N_{s,-x} = N_{x,-s} = -(y,y) n / (s,s) with
+        N_{-x,s} = N_{-s,x} their negatives."""
+        neg, norm, index, ad = self._neg, self._norm, self.root_index, self.ad
         for x, y, n in ((x, y, n), (y, x, -n)):
             v = _exact(-norm[y] * n, norm[s])
             nx, ny, ns = neg[x], neg[y], neg[s]
@@ -213,23 +216,20 @@ class StructureConstants:
                 (x, y, n, s), (nx, ny, -n, ns),
                 (s, nx, v, y), (nx, s, -v, y), (ns, x, -v, ny), (x, ns, v, ny),
             ):
-                table[(a, b)] = c
                 ad[index[a]][index[b]] = ((index[total], c),)
 
     # -- element algebra ----------------------------------------------------
 
     def x(self, alpha) -> dict:
         alpha = self.rs.check_root(alpha)
-        return {self.root_index[alpha]: Fraction(1)}
+        return {self.root_index[alpha]: 1}
 
     def h(self, j: int) -> dict:
         """H^{alpha_j} (1-based j)."""
-        return {j - 1: Fraction(1)}
+        return {j - 1: 1}
 
     def coroot_element(self, alpha) -> dict:
-        return {
-            j: Fraction(c) for j, c in enumerate(self.rs.coroot(alpha)) if c
-        }
+        return {j: c for j, c in enumerate(self.rs.coroot(alpha)) if c}
 
     def bracket(self, u: dict, v: dict) -> dict:
         out: dict = {}
@@ -351,7 +351,7 @@ def rational_form(sc: StructureConstants, T) -> RationalFormBasis:
     u, v, parity = {}, {}, {}
     for beta, t in zip(rs.positive_roots, root_values(rs, T)):
         ib = sc.root_index[beta]
-        ineg = sc.root_index[tuple(-c for c in beta)]
+        ineg = sc.root_index[sc._neg[beta]]
         odd = t % 2
         parity[beta] = odd
         if odd:
@@ -553,45 +553,30 @@ def _definite(gram, sign) -> bool:
 
 def cayley_standard_triple(sc: StructureConstants, beta, T):
     """(y^beta, H', y^{-beta}) with H' = x^beta + x^{-beta} and
-    y^{+-beta} = (i/2)(x^{-beta} - x^beta +- H^beta); beta must be noncompact."""
+    y^{+-beta} = (i/2)(x^{-beta} - x^beta +- H^beta); beta must be noncompact.
+
+    The brackets are checked on the integral Y^{+-} = (2/i) y^{+-}:
+    [H', Y^{+-}] = +-2 Y^{+-} and [Y^+, Y^-] = -4 H'."""
     rs = sc.rs
     beta = rs.check_root(beta)
     if evaluate(beta, T) % 2 == 0:
         raise CompactRoot(f"{beta} is compact for the given grading")
-    ib = sc.root_index[beta]
-    ineg = sc.root_index[tuple(-c for c in beta)]
+    ib, ineg = sc.root_index[beta], sc.root_index[sc._neg[beta]]
     hb = sc.coroot_element(beta)
-    y_plus = {ineg: HALF_I, ib: -HALF_I}
-    y_minus = {ineg: HALF_I, ib: -HALF_I}
-    for j, c in hb.items():
-        y_plus[j] = y_plus.get(j, GaussianRational.of(0)) + HALF_I * c
-        y_minus[j] = y_minus.get(j, GaussianRational.of(0)) - HALF_I * c
-    y_plus = {k: GaussianRational.of(c) for k, c in y_plus.items() if GaussianRational.of(c)}
-    y_minus = {k: GaussianRational.of(c) for k, c in y_minus.items() if GaussianRational.of(c)}
-    h_prime = {ib: GaussianRational.of(1), ineg: GaussianRational.of(1)}
-    _check_standard_triple(sc, y_plus, h_prime, y_minus)
-    return y_plus, h_prime, y_minus
-
-
-def _eq_vec(a: dict, b: dict) -> bool:
-    keys = set(a) | set(b)
-    return all(
-        GaussianRational.of(a.get(k, 0)) == GaussianRational.of(b.get(k, 0))
-        for k in keys
+    y_plus = {ineg: 1, ib: -1, **hb}
+    y_minus = {ineg: 1, ib: -1, **{j: -c for j, c in hb.items()}}
+    h_prime = {ib: 1, ineg: 1}
+    if sc.bracket(h_prime, y_plus) != {k: 2 * c for k, c in y_plus.items()}:
+        raise AssertionError("[H', Y+] != 2 Y+")
+    if sc.bracket(h_prime, y_minus) != {k: -2 * c for k, c in y_minus.items()}:
+        raise AssertionError("[H', Y-] != -2 Y-")
+    if sc.bracket(y_plus, y_minus) != {k: -4 * c for k, c in h_prime.items()}:
+        raise AssertionError("[Y+, Y-] != -4 H'")
+    return (
+        {k: GaussianRational(Fraction(0), Fraction(c, 2)) for k, c in y_plus.items()},
+        {k: GaussianRational.of(c) for k, c in h_prime.items()},
+        {k: GaussianRational(Fraction(0), Fraction(c, 2)) for k, c in y_minus.items()},
     )
-
-
-def _scale(c, vec: dict) -> dict:
-    return {k: GaussianRational.of(v) * c for k, v in vec.items()}
-
-
-def _check_standard_triple(sc, nplus, y, nminus):
-    if not _eq_vec(sc.bracket(y, nplus), _scale(2, nplus)):
-        raise AssertionError("[Y, N+] != 2 N+")
-    if not _eq_vec(sc.bracket(y, nminus), _scale(-2, nminus)):
-        raise AssertionError("[Y, N] != -2 N")
-    if not _eq_vec(sc.bracket(nplus, nminus), y):
-        raise AssertionError("[N+, N] != Y")
 
 
 # -- the A1 disc model ---------------------------------------------------------
@@ -622,16 +607,10 @@ def a1_disc_coordinate_in_unit_disc(t) -> bool:
     Here i y^{-alpha} = (1/2)[[1, 1], [-1, -1]] (nilpotent) and o_1 = (1 : i);
     the disc coordinate is the ratio of homogeneous coordinates.
     """
-    t = Fraction(t)
-    m = [
-        [1 + t / 2, t / 2],
-        [-t / 2, 1 - t / 2],
-    ]
-    vec = (
-        GaussianRational.of(m[0][0]) + GaussianRational.of(m[0][1]) * I_UNIT,
-        GaussianRational.of(m[1][0]) + GaussianRational.of(m[1][1]) * I_UNIT,
-    )
-    return vec[1].norm_sq() < vec[0].norm_sq()
+    half = Fraction(t) / 2
+    # the exponential [[1 + t/2, t/2], [-t/2, 1 - t/2]] sends (1 : i) to (z0 : z1) with
+    # z0 = (1 + t/2) + i t/2 and z1 = -t/2 + i (1 - t/2)
+    return half**2 + (1 - half) ** 2 < (1 + half) ** 2 + half**2
 
 
 # -- the 7-dimensional representation of g2 ------------------------------------
@@ -699,14 +678,7 @@ def g2_seven_dim_rep() -> dict:
                 low[j][i], up[i][j] = 1, (k + 1) * (n - k)
         mats[sc.root_index[a]] = tuple(map(tuple, up))
         mats[sc.root_index[sc._neg[a]]] = tuple(map(tuple, low))
-    positive = set(rs.positive_roots)
-    for gamma in rs.positive_roots[rs.rank:]:
-        # the minimal eps is extraspecial; the positive roots ascend
-        eps = next(
-            e for e in rs.positive_roots
-            if tuple(x - y for x, y in zip(gamma, e)) in positive
-        )
-        eta = tuple(x - y for x, y in zip(gamma, eps))
+    for eps, eta in sc.extraspecial.values():
         for a, b in ((eps, eta), (sc._neg[eps], sc._neg[eta])):
             ia, ib = sc.root_index[a], sc.root_index[b]
             ((ig, n),) = sc.ad[ia][ib]
@@ -793,4 +765,4 @@ def g2_cubic_cone_point(t):
         fact *= k
         for idx, c in cur.items():
             total[idx] = total.get(idx, 0) + c * t**k / fact
-    return tuple(total.get(sc.root_index[b], Fraction(0)) for b in _G2_DIRECTIONS)
+    return tuple(Fraction(total.get(sc.root_index[b], 0)) for b in _G2_DIRECTIONS)

@@ -83,7 +83,8 @@ def roots(type_str, rank, count_only, fmt):
         else:
             click.echo(count)
         return
-    click.echo(_listing(_build(lie_type), fmt), nl=False)
+    # no listing holds an escape code, so click's strip_ansi pass is skipped
+    click.echo(_listing(_build(lie_type), fmt), nl=False, color=True)
 
 
 @functools.cache

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import NotDegreeOne, NotMaximalParabolic
-from .grading import evaluate, grading_element_for, root_values
+from .grading import _check_index_set, evaluate, grading_element_for, root_values
 from .rootdata import RootSystem, cartan_type
 
 #: classical names for the C_o of the fundamental adjoint varieties
@@ -95,6 +95,7 @@ def co_components(rs: RootSystem, I) -> list[FlagDescriptor]:
     I = sorted(set(I))
     if not I:
         raise NotMaximalParabolic("index set must be nonempty")
+    _check_index_set(rs, I)
     return [_descriptor_for(rs, i, set(I)) for i in I]
 
 

@@ -586,6 +586,20 @@ def _negate(v):
     return tuple(-x for x in v)
 
 
+def n_table_of(sc):
+    """{(a, b): N_{a,b}} for every pair of roots with a + b a root, read off
+    the root-by-root entries of ``sc.ad`` (the pairs b = -a, whose bracket
+    is H^a, left out)."""
+    r, roots = sc.rs.rank, sc.basis_roots
+    table = {}
+    for a, row in zip(roots, sc.ad[r:]):
+        for j, entry in row.items():
+            if j >= r and (b := roots[j - r]) != _negate(a):
+                ((_, n),) = entry
+                table[(a, b)] = n
+    return table
+
+
 def bracket_table_by_roots(sc, n_table):
     """{(i, j): ((k, c), ...)} for every nonzero bracket [e_i, e_j] of basis
     vectors, keyed by index pairs and rebuilt from ``n_table``,
@@ -609,12 +623,12 @@ def bracket_table_by_roots(sc, n_table):
 
 def extend_by_root_pairs(sc):
     """N_{a,b} for every sign combination, from the positive-root entries of
-    ``sc.n_table``: every ordered pair of distinct positive roots a, b with a
+    ``n_table_of(sc)``: every ordered pair of distinct positive roots a, b with a
     root difference gets N_{a,-b} by the cyclic relation, with the norms
     taken through the dense form; then N_{-a,-b} = -N_{a,b}."""
     rs = sc.rs
     positive = {
-        (a, b): n for (a, b), n in sc.n_table.items() if sum(a) > 0 and sum(b) > 0
+        (a, b): n for (a, b), n in n_table_of(sc).items() if sum(a) > 0 and sum(b) > 0
     }
     full = dict(positive)
     norm = {b: bilinear_by_sym(rs, b, b) for b in rs.positive_roots}
@@ -741,6 +755,7 @@ def g2_seven_dim_rep_by_sign_search(sc, weights):
     w_index = {w: k for k, w in enumerate(weights)}
     simples = rs.simple_roots
     pairings = [rs.pairings(w) for w in weights]
+    n_table = n_table_of(sc)
 
     def strings(a):
         out = []
@@ -791,7 +806,7 @@ def g2_seven_dim_rep_by_sign_search(sc, weights):
                     break
             for g, a, b in ((gamma, eps, rest), (_negate(gamma), _negate(eps), _negate(rest))):
                 bracket = _mat_commutator(mats[sc.root_index[a]], mats[sc.root_index[b]])
-                n = sc.n_table[(a, b)]
+                n = n_table[(a, b)]
                 mats[sc.root_index[g]] = tuple(tuple(x / n for x in row) for row in bracket)
         for a in range(sc.dim):
             for b in range(sc.dim):

@@ -29,7 +29,7 @@ from hodgeorbit.cayley import (
     weight_grading_dims,
     weyl_flip,
 )
-from hodgeorbit.errors import InvalidSOS, NotFundamentalAdjoint
+from hodgeorbit.errors import IndexOutOfRange, InvalidSOS, NotFundamentalAdjoint
 from hodgeorbit.grading import evaluate, grading_element_for, is_fundamental_adjoint
 from hodgeorbit.reps import fundamental_weights, weight_from_root
 from hodgeorbit.rootdata import build_root_system, conjugate_root, root_system
@@ -321,6 +321,13 @@ def test_weyl_flip():
     for name, i in [("G2", 2), ("B3", 2), ("E6", 2), ("F4", 1)]:
         word = weyl_flip(root_system(name), i)  # verifies itself
         assert len(word) >= 1
+
+
+@pytest.mark.parametrize("node", [0, -1, 5])
+def test_weyl_flip_rejects_node_outside_diagram(node):
+    # 0 and -1 would wrap round to alpha_4 and alpha_3 of the simple roots
+    with pytest.raises(IndexOutOfRange, match=f"index {node} outside 1..4"):
+        weyl_flip(root_system("D4"), node)
 
 
 def test_enhanced_sl2_table7():

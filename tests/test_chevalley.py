@@ -42,6 +42,7 @@ from helpers import (
     jacobi_residual_by_dicts,
     lie_types_up_to,
     n_table_by_three_passes,
+    n_table_of,
     real_of,
 )
 
@@ -70,7 +71,7 @@ def test_structure_constant_magnitudes_are_string_lengths():
     for name in ["B3", "G2", "F4"]:
         sc = _sc(name)
         rs = sc.rs
-        for (a, b), n in sc.n_table.items():
+        for (a, b), n in n_table_of(sc).items():
             assert n != 0
             # |N_{a,b}| = (length of the a-string below b) + 1
             p = 0
@@ -84,14 +85,14 @@ def test_structure_constant_magnitudes_are_string_lengths():
 
 
 def test_structure_constant_symmetries():
-    sc = _sc("G2")
-    for (a, b), n in sc.n_table.items():
+    n_table = n_table_of(_sc("G2"))
+    for (a, b), n in n_table.items():
         na = tuple(-c for c in a)
         nb = tuple(-c for c in b)
-        assert sc.n_table[(b, a)] == -n
-        assert sc.n_table[(na, nb)] == -n
-    assert abs(sc.n_table[((1, 0), (0, 1))]) == 1
-    assert abs(sc.n_table[((1, 0), (1, 1))]) == 2
+        assert n_table[(b, a)] == -n
+        assert n_table[(na, nb)] == -n
+    assert abs(n_table[((1, 0), (0, 1))]) == 1
+    assert abs(n_table[((1, 0), (1, 1))]) == 2
 
 
 ORACLE_TYPES = [str(t) for t in lie_types_up_to(8)]
@@ -101,7 +102,7 @@ ORACLE_TYPES = [str(t) for t in lie_types_up_to(8)]
 def test_bracket_rows_match_tuple_keyed_table(name):
     sc = _sc(name)
     flat = {(i, j): entry for i, row in enumerate(sc.ad) for j, entry in row.items()}
-    assert flat == bracket_table_by_roots(sc, sc.n_table)
+    assert flat == bracket_table_by_roots(sc, n_table_of(sc))
     assert all(sc.basis_bracket(i, j) == entry for (i, j), entry in flat.items())
 
 
@@ -109,7 +110,7 @@ def test_bracket_rows_match_tuple_keyed_table(name):
 def test_one_pass_table_matches_three_pass_build(name):
     sc = _sc(name)
     oracle = n_table_by_three_passes(sc.rs)
-    assert sc.n_table == oracle
+    assert n_table_of(sc) == oracle
     flat = {(i, j): entry for i, row in enumerate(sc.ad) for j, entry in row.items()}
     assert flat == bracket_table_by_roots(sc, oracle)
 
@@ -117,7 +118,41 @@ def test_one_pass_table_matches_three_pass_build(name):
 @pytest.mark.parametrize("name", ORACLE_TYPES)
 def test_n_table_matches_extension_over_root_pairs(name):
     sc = _sc(name)
-    assert sc.n_table == extend_by_root_pairs(sc)
+    assert n_table_of(sc) == extend_by_root_pairs(sc)
+
+
+@pytest.mark.parametrize("name", ORACLE_TYPES)
+def test_extraspecial_pairs_are_least_decompositions(name):
+    sc = _sc(name)
+    rs = sc.rs
+    order = sorted(rs.positive_roots, key=lambda b: (sum(b), b))
+    positive = set(order)
+    want = {}
+    for gamma in order:
+        for eps in order:
+            eta = tuple(x - y for x, y in zip(gamma, eps))
+            if eta in positive:
+                want[gamma] = (eps, eta)
+                break
+    assert sc.extraspecial == want
+    assert list(sc.extraspecial) == [g for g in rs.positive_roots if g in want]
+    # positive sign on the extraspecial pairs
+    n_table = n_table_of(sc)
+    assert all(n_table[pair] > 0 for pair in want.values())
+
+
+def test_basis_elements_and_brackets_carry_int_scalars():
+    for name in ("A1", "G2", "B3", "E8"):
+        sc = _sc(name)
+        rs = sc.rs
+        alpha, beta = rs.simple_roots[0], rs.highest_root
+        elements = [sc.x(alpha), sc.x(sc._neg[beta]), sc.h(rs.rank),
+                    sc.coroot_element(beta)]
+        elements += [sc.bracket(u, v) for u in elements for v in elements]
+        # past A1 the coroot of the highest root has several terms
+        assert len(elements[3]) > 1 or name == "A1"
+        for vec in elements:
+            assert all(type(c) is int for c in vec.values()), (name, vec)
 
 
 def test_jacobi_exhaustive_small_ranks():
@@ -415,6 +450,18 @@ def test_cayley_standard_triples():
     cayley_standard_triple(f4, (1, 0, 0, 0), (1, 0, 0, 0))
     with pytest.raises(CompactRoot):
         cayley_standard_triple(g2, (1, 0), (0, 1))
+
+
+def test_cayley_standard_triple_rejects_corrupted_coroot_row():
+    for name, beta, T in (("G2", (0, 1), (0, 1)), ("F4", (1, 0, 0, 0), (1, 0, 0, 0))):
+        # a fresh table, so the cached one stays intact
+        sc = chevalley.StructureConstants(root_system(name))
+        cayley_standard_triple(sc, beta, T)
+        ib, ineg = sc.root_index[beta], sc.root_index[sc._neg[beta]]
+        sc.ad[ib][ineg] = tuple((k, 2 * c) for k, c in sc.ad[ib][ineg])
+        with pytest.raises(AssertionError):
+            cayley_standard_triple(sc, beta, T)
+        cayley_standard_triple(_sc(name), beta, T)
 
 
 def test_cayley_standard_triple_a1_matches_example():

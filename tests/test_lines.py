@@ -3,7 +3,7 @@ import itertools
 import pytest
 
 from helpers import co_dimension_by_support, lie_types_up_to
-from hodgeorbit.errors import NotDegreeOne, NotMaximalParabolic
+from hodgeorbit.errors import IndexOutOfRange, NotDegreeOne, NotMaximalParabolic
 from hodgeorbit.grading import evaluate, grading_element_for, parabolic
 from hodgeorbit.lines import (
     co_components,
@@ -80,6 +80,17 @@ def test_co_components_general_index_set():
     # and for E6 with I = {1, 2}
     comps = co_components(root_system("E6"), {1, 2})
     assert len(comps) == 2
+
+
+@pytest.mark.parametrize("node", [0, -1, 5])
+def test_co_components_rejects_node_outside_diagram(node):
+    # 0 and -1 would wrap round to the Cartan rows of nodes 4 and 3
+    rs = root_system("D4")
+    for I in ([node], [2, node]):
+        with pytest.raises(IndexOutOfRange, match=f"index {node} outside 1..4"):
+            co_components(rs, I)
+    with pytest.raises(NotMaximalParabolic):
+        co_components(rs, [])
 
 
 def test_co_dimensions_match_root_support_oracle():
