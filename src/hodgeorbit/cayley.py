@@ -486,8 +486,8 @@ def boundary_census(rs: RootSystem, i: int) -> tuple[CensusEntry, ...]:
 
 def _fast_diamond(rs, E, B) -> HodgeDeligneDiamond:
     """Diamond from the ``root_values`` of E and of Y = sum_b H^b, one S-basis
-    vector (for B empty, Y is the empty sum and takes 0 on every root)."""
-    Y = [sum(col) for col in zip(*map(rs.coroot_s_coords, B))]
+    vector (for B empty, Y is the empty sum: rank zeros)."""
+    Y = [sum(col) for col in zip((0,) * rs.rank, *map(rs.coroot_s_coords, B))]
     counts = {(0, 0): rs.rank}
     # few distinct (alpha(E), alpha(Y)) pairs: count them, then fold each in
     for (p, y), n in Counter(zip(root_values(rs, E), root_values(rs, Y))).items():

@@ -42,8 +42,8 @@ from functools import cache, cached_property
 from math import lcm
 
 from .errors import CompactRoot, NotARoot
-from .grading import evaluate, root_values
-from .rootdata import LieType, RootSystem, build_root_system
+from .grading import _check_index_set, evaluate, root_values
+from .rootdata import LieType, RootSystem, _exact_quotient, build_root_system
 
 # -- Gaussian rationals -------------------------------------------------------
 
@@ -69,12 +69,6 @@ class GaussianRational:
 
     def __neg__(self):
         return GaussianRational(-self.re, -self.im)
-
-    def __sub__(self, other):
-        return self + (-GaussianRational.of(other))
-
-    def __rsub__(self, other):
-        return GaussianRational.of(other) + (-self)
 
     def __mul__(self, other):
         other = GaussianRational.of(other)
@@ -102,9 +96,6 @@ class GaussianRational:
             return self.re == other.re and self.im == other.im
         return NotImplemented
 
-    def __hash__(self):
-        return hash((self.re, self.im))
-
     def __repr__(self):
         return f"({self.re}+{self.im}i)"
 
@@ -113,13 +104,6 @@ I_UNIT = GaussianRational(Fraction(0), Fraction(1))
 
 
 # -- structure constants ------------------------------------------------------
-
-
-def _exact(num: int, den: int) -> int:
-    q, rem = divmod(num, den)
-    if rem:
-        raise AssertionError("non-integral structure constant")
-    return q
 
 
 class StructureConstants:
@@ -196,7 +180,7 @@ class StructureConstants:
                 a_eps = tuple(x - y for x, y in zip(a, eps))
                 b_eps = tuple(x - y for x, y in zip(b, eps))
                 term = n(a, neg[eps]) * n(a_eps, b) + n(b, neg[eps]) * n(a, b_eps)
-                val = _exact(term, n_gamma_meps)
+                val = _exact_quotient(term, n_gamma_meps, "structure constant")
                 if abs(val) != (expected := self._string_length(a, b)):
                     raise AssertionError(
                         f"|N| = {abs(val)} != string length {expected} at {a}+{b}"
@@ -210,7 +194,7 @@ class StructureConstants:
         N_{-x,s} = N_{-s,x} their negatives."""
         neg, norm, index, ad = self._neg, self._norm, self.root_index, self.ad
         for x, y, n in ((x, y, n), (y, x, -n)):
-            v = _exact(-norm[y] * n, norm[s])
+            v = _exact_quotient(-norm[y] * n, norm[s], "structure constant")
             nx, ny, ns = neg[x], neg[y], neg[s]
             for a, b, c, total in (
                 (x, y, n, s), (nx, ny, -n, ns),
@@ -226,6 +210,7 @@ class StructureConstants:
 
     def h(self, j: int) -> dict:
         """H^{alpha_j} (1-based j)."""
+        _check_index_set(self.rs, {j})
         return {j - 1: 1}
 
     def coroot_element(self, alpha) -> dict:

@@ -22,7 +22,8 @@ class NotStronglyOrthogonal(HodgeOrbitError):
 
 
 class IndexOutOfRange(HodgeOrbitError):
-    """Simple-root index outside 1..rank."""
+    """A Dynkin node outside 1..rank, an empty node set, or a coordinate
+    vector whose length is not the rank; ``grading`` checks all three."""
 
 
 class NotDominant(HodgeOrbitError):
@@ -34,7 +35,8 @@ class DimensionCapExceeded(HodgeOrbitError):
 
 
 class NotMaximalParabolic(HodgeOrbitError):
-    """Operation requires an index set of size one."""
+    """Two or more nodes where one is required; a node outside 1..rank or
+    an empty set is ``IndexOutOfRange``."""
 
 
 class NotDegreeOne(HodgeOrbitError):

@@ -7,12 +7,14 @@ positive roots goes through it: a weight lam in fundamental coordinates as
 h_j = d_j lam_j, a coroot H^b as its S-coordinates, and the boundary diamond
 as (alpha(E), alpha(Y)) with Y = sum_b H^b.  ``eigen_dims`` counts those
 values as the eigenspace dimensions of g.  ``evaluate`` is for weights and
-single vectors.
+single vectors.  Both refuse a vector of the wrong length, and
+``_check_index_set`` is the one rule for the Dynkin nodes I of a G/P_I.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import mul
 
 from .errors import IndexOutOfRange
 from .rootdata import RootSystem
@@ -28,11 +30,15 @@ def grading_element_for(rs: RootSystem, I) -> GradingElement:
 
 def evaluate(coords, element) -> object:
     """Value of the grading element on a vector in simple-root coordinates."""
-    return sum(c * e for c, e in zip(coords, element))
+    if len(coords) != len(element):
+        raise IndexOutOfRange(f"{len(coords)} coordinates against {len(element)}")
+    return sum(map(mul, coords, element))
 
 
 def root_values(rs: RootSystem, h) -> tuple:
     """alpha(h) for each alpha in ``rs.positive_roots``: sum of h_j ``positive_columns[j]``."""
+    if len(h) != rs.rank:
+        raise IndexOutOfRange(f"{len(h)} coordinates, rank {rs.rank}")
     terms = [col if c == 1 else tuple([c * x for x in col])
              for c, col in zip(h, rs.positive_columns) if c]
     if len(terms) > 1:
@@ -51,6 +57,7 @@ def eigen_dims(rs: RootSystem, values) -> dict:
 
 
 def _check_index_set(rs: RootSystem, I) -> frozenset:
+    """I as a frozenset; IndexOutOfRange if it is empty or has a node outside 1..rank."""
     I = frozenset(I)
     if not I:
         raise IndexOutOfRange("index set must be nonempty")
@@ -121,8 +128,7 @@ def classify_root_compactness(rs: RootSystem, E: GradingElement):
 
 def schubert_dim_from_grading(rs: RootSystem, i: int, T_w) -> int:
     """#{alpha in Delta : alpha(S^i) = 1 and alpha(T_w) <= 0}."""
-    if not 1 <= i <= rs.rank:
-        raise IndexOutOfRange(f"index {i} outside 1..{rs.rank}")
+    _check_index_set(rs, {i})
     # alpha(S^i) is the i-th simple-root coordinate, so it is 1 only on
     # positive roots
     return sum(

@@ -44,12 +44,9 @@ class FlagDescriptor:
 
 
 def _check_single(rs: RootSystem, I) -> int:
-    I = set(I)
-    if len(I) != 1:
-        raise NotMaximalParabolic(f"index set {sorted(I)} is not a single node")
-    (i,) = I
-    if not 1 <= i <= rs.rank:
-        raise NotMaximalParabolic(f"node {i} outside 1..{rs.rank}")
+    i, *rest = sorted(_check_index_set(rs, I))
+    if rest:
+        raise NotMaximalParabolic(f"index set {[i, *rest]} is not a single node")
     return i
 
 
@@ -92,11 +89,8 @@ def co_descriptor(rs: RootSystem, I) -> FlagDescriptor:
 
 def co_components(rs: RootSystem, I) -> list[FlagDescriptor]:
     """General I: C_o is the disjoint union of one component per i in I."""
-    I = sorted(set(I))
-    if not I:
-        raise NotMaximalParabolic("index set must be nonempty")
-    _check_index_set(rs, I)
-    return [_descriptor_for(rs, i, set(I)) for i in I]
+    I = _check_index_set(rs, I)
+    return [_descriptor_for(rs, i, I) for i in sorted(I)]
 
 
 def cone_horizontal(rs: RootSystem, I) -> bool:
@@ -107,12 +101,10 @@ def cone_horizontal(rs: RootSystem, I) -> bool:
 
 def co_membership_root_direction(rs: RootSystem, I, beta) -> bool:
     """Whether x^{-beta} is tangent to a line of C_o, for beta(E) = 1."""
-    I = sorted(set(I))
     beta = rs.check_root(beta)
     E = grading_element_for(rs, I)
     if evaluate(beta, E) != 1:
         raise NotDegreeOne(f"{beta} has E-value {evaluate(beta, E)}, need 1")
-    # mu = sum_{i in I} omega_i and omega_i(H^{alpha_j}) = delta_ij, so
-    # mu(H^beta) sums the coordinates of H^beta over I
-    coroot = rs.coroot(beta)
-    return sum(coroot[i - 1] for i in I) <= 1
+    # mu = sum_{i in I} omega_i and omega_i(H^{alpha_j}) = delta_ij, so mu(H^beta)
+    # sums the coordinates of H^beta over I, which is E evaluated on them
+    return evaluate(rs.coroot(beta), E) <= 1

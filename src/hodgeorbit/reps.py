@@ -26,8 +26,8 @@ from fractions import Fraction
 from operator import add, sub
 
 from .errors import DimensionCapExceeded, NotDominant
-from .grading import evaluate, root_values
-from .rootdata import RootSystem
+from .grading import evaluate, grading_element_for, root_values
+from .rootdata import RootSystem, _exact_quotient
 
 DEFAULT_DIM_CAP = 10**6
 _DIM_CAP_ENV = "HODGEORBIT_DIM_CAP"
@@ -79,11 +79,7 @@ def weight_from_root(rs: RootSystem, root) -> Weight:
 
 def fundamental_weights(rs: RootSystem) -> list[Weight]:
     """The w_i, satisfying w_i(H^{alpha_j}) = delta_ij exactly."""
-    out = []
-    for i in range(rs.rank):
-        w = weight_from_fund(rs, tuple(1 if j == i else 0 for j in range(rs.rank)))
-        out.append(w)
-    return out
+    return [weight_from_fund(rs, unit) for unit in rs.simple_roots]
 
 
 def rho(rs: RootSystem) -> Weight:
@@ -109,13 +105,6 @@ def _dominant(rs: RootSystem, fund: tuple) -> tuple:
 def _check_dominant_integral(lam: Weight):
     if not (lam.is_dominant and lam.is_integral):
         raise NotDominant(f"{lam.fund_coords} is not dominant integral")
-
-
-def _exact_quotient(num: int, den: int, what: str) -> int:
-    q, r = divmod(num, den)
-    if r:
-        raise AssertionError(f"{what} is not an integer")
-    return q
 
 
 def weyl_dimension(rs: RootSystem, lam: Weight) -> int:
@@ -289,8 +278,8 @@ def embedding_degree_for_weight(rs: RootSystem, mu: Weight):
 
 def embedding_degree(rs: RootSystem, I) -> tuple[int, int, int]:
     """(n, d, N) for the minimal embedding of G/P_I, mu = sum_{i in I} w_i."""
-    fund = tuple(1 if j + 1 in set(I) else 0 for j in range(rs.rank))
-    mu = weight_from_fund(rs, fund)
+    # E = sum_{i in I} S^i has mu's fundamental coordinates
+    mu = weight_from_fund(rs, grading_element_for(rs, I))
     n, d = embedding_degree_for_weight(rs, mu)
     N = weyl_dimension(rs, mu) - 1
     return n, d, N

@@ -366,10 +366,16 @@ class RootSystem:
         )
 
 
+def _exact_quotient(num: int, den: int, what: str) -> int:
+    """num / den, which must be an integer; ``what`` names it in the AssertionError."""
+    q, r = divmod(num, den)
+    if r:
+        raise AssertionError(f"{what} is not an integer")
+    return q
+
+
 def _exact_coords(nums, den) -> Coords:
-    if any(x % den for x in nums):
-        raise AssertionError("coroot not integral")
-    return tuple(x // den for x in nums)
+    return tuple(_exact_quotient(x, den, "coroot coordinate") for x in nums)
 
 
 @cache

@@ -49,7 +49,6 @@ from hodgeorbit.reps import (
     Weight,
     WeightMultiset,
     _check_dominant_integral,
-    _exact_quotient,
     dimension_cap,
     rho,
     weight_from_fund,
@@ -60,6 +59,7 @@ from hodgeorbit.rootdata import (
     LieType,
     RootSystem,
     _cartan_data,
+    _exact_quotient,
 )
 
 

@@ -184,6 +184,14 @@ def test_tables_unknown_id(tmp_path):
     assert _run(["tables", "--id", "nope", "--out", str(tmp_path)]).exit_code == 2
 
 
+@pytest.mark.parametrize("choice", [[], ["--all", "--id", "table1"]], ids=["neither", "both"])
+def test_tables_needs_exactly_one_of_all_and_id(tmp_path, choice):
+    res = _run(["tables", *choice, "--out", str(tmp_path / "out")])
+    assert res.exit_code == 2
+    assert "exactly one of --all or --id" in res.output
+    assert not (tmp_path / "out").exists()
+
+
 def test_tables_io_failure_exit_4(tmp_path):
     target = tmp_path / "blocked"
     target.write_text("a file, not a directory")

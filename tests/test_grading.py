@@ -3,6 +3,14 @@ import random
 import pytest
 from helpers import _dense_row, lie_types_up_to
 
+from hodgeorbit.cayley import (
+    boundary_census,
+    codim_one_uniqueness_check,
+    validate_sos,
+    weight_grading_dims,
+    weyl_flip,
+)
+from hodgeorbit.chevalley import rational_form, structure_constants
 from hodgeorbit.errors import IndexOutOfRange
 from hodgeorbit.grading import (
     adjoint_index_set,
@@ -14,6 +22,14 @@ from hodgeorbit.grading import (
     root_values,
     schubert_dim_from_grading,
 )
+from hodgeorbit.lines import (
+    co_components,
+    co_descriptor,
+    co_membership_root_direction,
+    cone_horizontal,
+    lines_parabolic,
+)
+from hodgeorbit.reps import embedding_degree, weight_from_fund, weyl_dimension
 from hodgeorbit.rootdata import root_system
 
 SMALL_TYPES = [str(t) for t in lie_types_up_to(8)]
@@ -206,3 +222,63 @@ def test_root_values_match_dense_evaluation(name):
     for h in hs:
         dense = dict(zip(rs.roots, _dense_row(rs, h)))
         assert root_values(rs, h) == tuple(dense[b] for b in rs.positive_roots), h
+
+
+# -- the one node rule: every public entry that takes Dynkin nodes ------------
+
+#: entries that take a node set I, as f(rs, I)
+NODE_SET_ENTRIES = {
+    "parabolic": parabolic,
+    "grading_element_for": grading_element_for,
+    "is_fundamental_adjoint": is_fundamental_adjoint,
+    "embedding_degree": embedding_degree,
+    "lines_parabolic": lines_parabolic,
+    "co_descriptor": co_descriptor,
+    "co_components": co_components,
+    "cone_horizontal": cone_horizontal,
+    "co_membership_root_direction":
+        lambda rs, I: co_membership_root_direction(rs, I, rs.highest_root),
+}
+
+#: entries that take one node i, as f(rs, i)
+NODE_ENTRIES = {
+    "schubert_dim_from_grading":
+        lambda rs, i: schubert_dim_from_grading(rs, i, (0,) * rs.rank),
+    "weyl_flip": weyl_flip,
+    "weight_grading_dims": weight_grading_dims,
+    "codim_one_uniqueness_check": codim_one_uniqueness_check,
+    "boundary_census": boundary_census,
+    "sc.h": lambda rs, i: structure_constants(rs).h(i),
+}
+
+
+@pytest.mark.parametrize(
+    "name, arg",
+    [(name, I) for name in NODE_SET_ENTRIES for I in ({0}, {-1}, {7}, {2, 7}, set())]
+    + [(name, i) for name in NODE_ENTRIES for i in (0, -1, 7)],
+    ids=str,
+)
+def test_node_outside_diagram_or_empty_set_is_index_out_of_range(name, arg):
+    # E6: rank 6, so 7 is rank + 1, and {2, 7} must not be read as {2}
+    entry = NODE_SET_ENTRIES.get(name) or NODE_ENTRIES[name]
+    with pytest.raises(IndexOutOfRange, match=r"outside 1\.\.6|nonempty"):
+        entry(root_system("E6"), arg)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda rs: weyl_dimension(rs, weight_from_fund(rs, (1,))),
+        lambda rs: schubert_dim_from_grading(rs, 1, (1,)),
+        lambda rs: rational_form(structure_constants(rs), (0, 1, 0, 1)),
+        lambda rs: validate_sos(rs, (0, 1), [(0, 1, 0)]),
+        lambda rs: root_values(rs, (1, 0)),
+        lambda rs: evaluate((1, 0, 0), (1, 0)),
+    ],
+    ids=["weyl_dimension", "schubert_dim", "rational_form", "validate_sos",
+         "root_values", "evaluate"],
+)
+def test_vector_of_wrong_length_is_index_out_of_range(call):
+    # B3 has rank 3; each call passes a vector of another length
+    with pytest.raises(IndexOutOfRange, match="coordinates"):
+        call(root_system("B3"))

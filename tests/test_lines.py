@@ -42,8 +42,10 @@ def test_lines_parabolic_adjacency():
 
 
 def test_lines_parabolic_requires_maximal():
-    with pytest.raises(NotMaximalParabolic):
-        lines_parabolic(root_system("E6"), {1, 2})
+    # two nodes inside the diagram: the one case left to NotMaximalParabolic
+    for entry in (lines_parabolic, co_descriptor, cone_horizontal):
+        with pytest.raises(NotMaximalParabolic):
+            entry(root_system("E6"), {1, 2})
 
 
 def test_co_descriptor_table3():
@@ -89,7 +91,7 @@ def test_co_components_rejects_node_outside_diagram(node):
     for I in ([node], [2, node]):
         with pytest.raises(IndexOutOfRange, match=f"index {node} outside 1..4"):
             co_components(rs, I)
-    with pytest.raises(NotMaximalParabolic):
+    with pytest.raises(IndexOutOfRange, match="nonempty"):
         co_components(rs, [])
 
 
