@@ -56,6 +56,7 @@ def validate_sos(rs: RootSystem, E, B) -> list[str]:
     ``rs.rank`` members fails on that alone; it is the one violation reported,
     before any pair is checked.
     """
+    rs.check_length(E)
     if len(B) > rs.rank:
         return [f"{len(B)} roots, more than the rank {rs.rank}"]
     violations = []

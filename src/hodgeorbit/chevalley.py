@@ -26,12 +26,14 @@ rational form and the Cayley standard triples it hands out carry
 Gaussian-rational scalars, so the compact real form stays exact; both are
 checked in integers first.
 
-The rational form is verified in Gaussian integers: its members h^j, u^beta,
-v^beta have entries in {+-1, +-i}, so they are converted once to (re, im)
-integer pairs and bracketed through the integer table.  Reading a bracket
-back in the integral basis visits only its nonzero entries, each +-beta pair
-once, so a verified bracket costs O(nnz) and integrality is a parity test.
-The Killing Gram matrices are integer too, on the same vectors.
+The rational form is verified through the same integer bracket and Killing
+form: each of its members h^j, u^beta, v^beta is i^e w with e in {0, 1} and
+w an integer vector, read once as the pair (e, w).  A bracket of two members
+is i^(ea+eb) [wa, wb] and a Killing value i^(ea+eb) B(wa, wb), so neither
+needs Gaussian arithmetic.  On +-beta the member of phase e is
+i^e (x^beta + s x^-beta) with a fixed sign s, so reading a bracket back in
+the integral basis visits only its nonzero entries, and closure is the test
+w[x^-beta] = s w[x^beta]: integrality then holds by itself.
 """
 
 from __future__ import annotations
@@ -39,7 +41,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
-from math import lcm
 
 from .errors import CompactRoot, NotARoot
 from .grading import _check_index_set, evaluate, root_values
@@ -79,13 +80,6 @@ class GaussianRational:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        other = GaussianRational.of(other)
-        n = other.re * other.re + other.im * other.im
-        if n == 0:
-            raise ZeroDivisionError
-        return self * GaussianRational(other.re / n, -other.im / n)
-
     def __bool__(self):
         return bool(self.re or self.im)
 
@@ -95,6 +89,10 @@ class GaussianRational:
         if isinstance(other, GaussianRational):
             return self.re == other.re and self.im == other.im
         return NotImplemented
+
+    def __hash__(self):
+        # a real value equals its int or Fraction, so it must hash like one
+        return hash((self.re, self.im)) if self.im else hash(self.re)
 
     def __repr__(self):
         return f"({self.re}+{self.im}i)"
@@ -218,23 +216,19 @@ class StructureConstants:
 
     def bracket(self, u: dict, v: dict) -> dict:
         out: dict = {}
+        ad = self.ad
         for i, ci in u.items():
-            if not ci:
-                continue
-            row = self.ad[i]
+            row = ad[i]
             for j, cj in v.items():
-                if not cj:
-                    continue
                 entry = row.get(j)
-                if not entry:
-                    continue
-                c = ci * cj
-                for k, coeff in entry:
-                    cur = out.get(k, 0) + c * coeff
-                    if cur:
-                        out[k] = cur
-                    elif k in out:
-                        del out[k]
+                if entry:
+                    c = ci * cj
+                    for k, coeff in entry:
+                        cur = out.get(k, 0) + c * coeff
+                        if cur:
+                            out[k] = cur
+                        elif k in out:
+                            del out[k]
         return out
 
     def basis_bracket(self, i: int, j: int):
@@ -358,73 +352,42 @@ def rational_form(sc: StructureConstants, T) -> RationalFormBasis:
     return basis
 
 
-def _gaussian_integer_vectors(vecs):
-    """``vecs`` scaled by their common denominator d, as (d, vectors) with
-    each vector a tuple of (index, re, im) integer triples."""
-    entries = [[(k, GaussianRational.of(c)) for k, c in vec.items()] for vec in vecs]
-    d = lcm(*(x.denominator for row in entries for _, c in row for x in (c.re, c.im)))
-    return d, [
-        tuple((k, int(c.re * d), int(c.im * d)) for k, c in row if c) for row in entries
-    ]
+def _phase_and_integers(vec: dict):
+    """(e, w) with vec = i^e w, e in {0, 1} and w an int dict; an
+    AssertionError for a vector of any other shape."""
+    entries = [(k, GaussianRational.of(c)) for k, c in vec.items() if c]
+    e = int(bool(entries and entries[0][1].im))
+    w = {}
+    for k, c in entries:
+        x, off = (c.im, c.re) if e else (c.re, c.im)
+        if off or x.denominator != 1:
+            raise AssertionError("member is not 1 or i times an integer vector")
+        w[k] = int(x)
+    return e, w
 
 
-def _gaussian_bracket(ad: list, a, b) -> dict:
-    """Bracket of two (index, re, im) vectors through the integer bracket
-    rows, as index -> (re, im)."""
-    out: dict = {}
-    for i, ar, ai in a:
-        row = ad[i]
-        for j, br, bi in b:
-            entry = row.get(j)
-            if entry:
-                cr, ci = ar * br - ai * bi, ar * bi + ai * br
-                for k, n in entry:
-                    re, im = out.get(k, (0, 0))
-                    out[k] = (re + n * cr, im + n * ci)
-    return out
+def _check_block(sc: StructureConstants, parity: dict, e: int, w: dict, block: int):
+    """AssertionError unless i^e w, for an int dict w, lies in g_Z and in
+    ``block`` (0 = k, 1 = k^perp).
 
-
-def _integral_coordinates(sc: StructureConstants, parity: dict, vec: dict, scale: int):
-    """Nonzero coordinates of ``vec`` in the integral basis; None when one is
-    not integral.
-
-    ``vec`` maps basis indices to Gaussian integers (re, im) that are ``scale``
-    times the true entries.  Only its entries are visited, each +-beta pair
-    once, so the cost is O(nnz).
-    """
-    r = sc.rs.rank
-    npos = len(parity)
-    roots = sc.basis_roots
-    out = {}
-    for k, (re, im) in vec.items():
+    h^k = i H^{alpha_k}, so a Cartan entry needs an odd e.  On +-beta the
+    member of phase e is i^e (x^beta + s x^-beta), with s = +1 exactly when
+    e + parity(beta) is odd, and the other member has phase 1 - e.  So i^e w
+    is in g_Z when w[x^-beta] = s w[x^beta], with the integer coordinate
+    w[x^beta].  Only the entries of w are visited."""
+    r, npos, roots = sc.rs.rank, len(parity), sc.basis_roots
+    for k in w:
         if k < r:
-            # c = i a for the coordinate a on h^k = i H^{alpha_k}
-            if re or im % scale:
-                return None
-            if im:
-                out[("h", k)] = im // scale
-            continue
-        m = k - r
-        if m >= npos:
-            if k - npos in vec:
-                continue  # the pair is read at x^beta
-            m -= npos
-        beta = roots[m]
-        pr, pi = vec.get(r + m, (0, 0))
-        mr, mi = vec.get(r + npos + m, (0, 0))
-        if parity[beta]:
-            # u = i (x^b - x^-b), v = x^b + x^-b
-            a_u, off_u, a_v, off_v = pi - mi, pr - mr, pr + mr, pi + mi
+            if not e:
+                raise AssertionError("g_Z is not closed under the bracket")
+            p = 0
         else:
-            # u = x^b - x^-b, v = i (x^b + x^-b)
-            a_u, off_u, a_v, off_v = pr - mr, pi - mi, pi + mi, pr + mr
-        if off_u or off_v or a_u % (2 * scale) or a_v % (2 * scale):
-            return None
-        if a_u:
-            out[("u", beta)] = a_u // (2 * scale)
-        if a_v:
-            out[("v", beta)] = a_v // (2 * scale)
-    return out
+            m = (k - r) % npos
+            p = parity[roots[m]]
+            if w.get(r + npos + m, 0) != (1 if (e + p) % 2 else -1) * w.get(r + m, 0):
+                raise AssertionError("g_Z is not closed under the bracket")
+        if p != block:
+            raise AssertionError("Cartan decomposition blocks violated")
 
 
 def theta(sc: StructureConstants, T, vec: dict) -> dict:
@@ -442,65 +405,51 @@ def theta(sc: StructureConstants, T, vec: dict) -> dict:
 
 
 def _verify_rational_form(sc: StructureConstants, basis: RationalFormBasis):
-    members = []  # (block, vector): block 0 = k, 1 = k^perp
-    for hj in basis.h:
-        members.append((0, hj))
-    for beta, p in basis.parity.items():
-        members.append((p, basis.u[beta]))
-        members.append((p, basis.v[beta]))
-    d, vecs = _gaussian_integer_vectors(vec for _, vec in members)
-    blocks = [p for p, _ in members]
-    for pa, a in zip(blocks, vecs):
-        for pb, b in zip(blocks, vecs):
-            br = _gaussian_bracket(sc.ad, a, b)
-            coords = _integral_coordinates(sc, basis.parity, br, d * d)
-            if coords is None:
-                raise AssertionError("g_Z is not closed under the bracket")
-            want_block = (pa + pb) % 2
-            for kind, label in coords:
-                block = 0 if kind == "h" else basis.parity[label]
-                if block != want_block:
-                    raise AssertionError("Cartan decomposition blocks violated")
-    # theta is the identity on k, minus identity on k^perp, and squares to 1
-    for p, vec in members:
-        image = theta(sc, basis.grading_element, vec)
-        twice = theta(sc, basis.grading_element, image)
-        if twice != vec:
+    parity = basis.parity
+    members = [(0, *_phase_and_integers(hj)) for hj in basis.h]  # (block, e, w)
+    for beta, p in parity.items():
+        members.append((p, *_phase_and_integers(basis.u[beta])))
+        members.append((p, *_phase_and_integers(basis.v[beta])))
+    # [i^ea wa, i^eb wb] = i^(ea+eb) [wa, wb], up to a sign that g_Z ignores
+    for pa, ea, wa in members:
+        for pb, eb, wb in members:
+            _check_block(sc, parity, (ea + eb) % 2, sc.bracket(wa, wb), (pa + pb) % 2)
+    # theta is the identity on k, minus identity on k^perp, and squares to 1;
+    # it is linear, so it is checked on w
+    T = basis.grading_element
+    for p, _, w in members:
+        image = theta(sc, T, w)
+        if theta(sc, T, image) != w:
             raise AssertionError("theta^2 != 1")
-        expected = vec if p == 0 else {k: -c for k, c in vec.items()}
-        if image != expected:
+        if image != (w if p == 0 else {k: -c for k, c in w.items()}):
             raise AssertionError("theta has the wrong sign on a block")
     # Killing form: negative definite on k_Z, positive definite on k_Z^perp
-    # (the grams of the scaled vectors are d^2 times the true ones)
     for block, sign in ((0, -1), (1, 1)):
-        gram = _killing_gram(sc, [vec for p, vec in zip(blocks, vecs) if p == block])
+        gram = _killing_gram(sc, [(e, w) for p, e, w in members if p == block])
         if not _definite(gram, sign):
             raise AssertionError("Killing form has the wrong signature")
 
 
-def _killing_gram(sc: StructureConstants, vecs) -> list:
-    """The Gram matrix of B on ``vecs``, each a tuple of (index, re, im)
-    Gaussian-integer triples, in integers.  B(x^a, x^b) = 0 unless b = -a and
-    B(H, x^a) = 0, so only vectors sharing the Cartan part or a support
-    +-beta are paired; every other entry is 0."""
+def _killing_gram(sc: StructureConstants, members) -> list:
+    """The Gram matrix of B on ``members``, each a pair (e, w) for i^e w, in
+    integers: B(i^ea wa, i^eb wb) = i^(ea+eb) B(wa, wb).  B(x^a, x^b) = 0
+    unless b = -a and B(H, x^a) = 0, so only members sharing the Cartan part
+    or a support +-beta are paired; every other entry is 0."""
     r, npos = sc.rs.rank, len(sc.rs.positive_roots)
-    gram = [[0] * len(vecs) for _ in vecs]
+    gram = [[0] * len(members) for _ in members]
     sharing: dict = {}  # -1 for the Cartan part, m for +-beta_m -> members
-    for a, vec in enumerate(vecs):
-        for part in {-1 if k < r else (k - r) % npos for k, _, _ in vec}:
+    for a, (_, w) in enumerate(members):
+        for part in {-1 if k < r else (k - r) % npos for k in w}:
             sharing.setdefault(part, []).append(a)
     for group in sharing.values():
         for a in group:
+            ea, wa = members[a]
             for b in group:
-                re = im = 0
-                for i, ar, ai in vecs[a]:
-                    for j, br, bi in vecs[b]:
-                        c = sc._killing_basis(i, j)
-                        re += c * (ar * br - ai * bi)
-                        im += c * (ar * bi + ai * br)
-                if im:
+                eb, wb = members[b]
+                value = sc.killing(wa, wb)
+                if value and (ea + eb) % 2:
                     raise AssertionError("Killing value should be real")
-                gram[a][b] = re
+                gram[a][b] = -value if ea + eb == 2 else value
     return gram
 
 

@@ -22,8 +22,9 @@ class NotStronglyOrthogonal(HodgeOrbitError):
 
 
 class IndexOutOfRange(HodgeOrbitError):
-    """A Dynkin node outside 1..rank, an empty node set, or a coordinate
-    vector whose length is not the rank; ``grading`` checks all three."""
+    """A Dynkin node outside 1..rank or an empty node set, which ``grading``
+    checks, or a coordinate vector whose length is not the rank, which
+    ``RootSystem.check_length`` checks."""
 
 
 class NotDominant(HodgeOrbitError):

@@ -37,8 +37,7 @@ def evaluate(coords, element) -> object:
 
 def root_values(rs: RootSystem, h) -> tuple:
     """alpha(h) for each alpha in ``rs.positive_roots``: sum of h_j ``positive_columns[j]``."""
-    if len(h) != rs.rank:
-        raise IndexOutOfRange(f"{len(h)} coordinates, rank {rs.rank}")
+    rs.check_length(h)
     terms = [col if c == 1 else tuple([c * x for x in col])
              for c, col in zip(h, rs.positive_columns) if c]
     if len(terms) > 1:

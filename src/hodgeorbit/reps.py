@@ -66,6 +66,7 @@ def inverse_cartan(rs: RootSystem):
 
 def weight_from_fund(rs: RootSystem, fund) -> Weight:
     """sum_i fund_i w_i, over the rows of ``inverse_cartan`` with fund_i != 0."""
+    rs.check_length(fund)
     fund = tuple(Fraction(c) for c in fund)
     rows = [[c * x for x in row] for c, row in zip(fund, inverse_cartan(rs)) if c]
     root = tuple(map(sum, zip(*rows))) if rows else (Fraction(0),) * rs.rank

@@ -42,7 +42,7 @@ from fractions import Fraction
 from functools import cache, cached_property
 from operator import mul
 
-from .errors import InvalidRank, NotARoot, NotStronglyOrthogonal
+from .errors import IndexOutOfRange, InvalidRank, NotARoot, NotStronglyOrthogonal
 
 Coords = tuple[int, ...]
 
@@ -240,6 +240,7 @@ class RootSystem:
 
     def pairings(self, v) -> tuple:
         """<v, alpha_j^vee> for every j, for v in simple-root coordinates."""
+        self.check_length(v)
         return tuple(sum(v[i] * a for i, a in col) for col in self._columns)
 
     def simple_reflection(self, v: tuple, j: int) -> tuple:
@@ -338,9 +339,16 @@ class RootSystem:
             raise NotARoot(f"{beta} is not a root of {self.lie_type}")
         return beta
 
+    def check_length(self, v) -> None:
+        """IndexOutOfRange unless ``v`` has one coordinate per simple root."""
+        if len(v) != self.rank:
+            raise IndexOutOfRange(f"{len(v)} coordinates, rank {self.rank}")
+
     def bilinear(self, x, y):
         """(x, y) = sum_j y_j d_j <x, alpha_j^vee> for vectors in simple-root
         coordinates (rationals allowed); each j with y_j = 0 is skipped."""
+        self.check_length(x)
+        self.check_length(y)
         return sum(
             yj * d * sum(x[i] * a for i, a in col)
             for yj, d, col in zip(y, self.lengths, self._columns)
@@ -395,6 +403,7 @@ def coroot_pairing(rs: RootSystem, beta, alpha):
     ``beta`` may be any rational vector in simple-root coordinates;
     the result is an integer whenever beta is a root.
     """
+    rs.check_length(beta)
     val = sum(map(mul, beta, rs.coroot_s_coords(alpha)))
     if val.denominator == 1:
         val = int(val)

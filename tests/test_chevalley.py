@@ -25,9 +25,11 @@ from hodgeorbit.chevalley import (
 )
 from hodgeorbit.chevalley import (
     G2_V7_WEIGHTS,
+    I_UNIT,
+    _check_block,
     _definite,
-    _gaussian_integer_vectors,
     _killing_gram,
+    _phase_and_integers,
     _verify_rational_form,
 )
 from hodgeorbit.errors import CompactRoot
@@ -218,6 +220,18 @@ def test_killing_form_matches_trace_form():
                 assert sc.killing(basis[i], basis[j]) == trace
 
 
+def test_gaussian_rational_hashes_like_the_number_it_equals():
+    assert GaussianRational.of(1) in {1}
+    half = Fraction(1, 2)
+    assert {half: "half"}[GaussianRational.of(half)] == "half"
+    # a non-real value equals, and finds as a key, only itself
+    i = GaussianRational(Fraction(0), Fraction(1))
+    assert i == I_UNIT and {I_UNIT: "i"}[i] == "i"
+    others = (0, 1, Fraction(1), GaussianRational.of(1), GaussianRational(Fraction(1), Fraction(1)))
+    assert all(i != x for x in others)
+    assert i not in set(others)
+
+
 def test_rational_form_a1_matches_paper_matrices():
     sc = _sc("A1")
     rf = rational_form(sc, (1,))
@@ -250,8 +264,57 @@ def test_verify_rejects_halved_u_vector():
     rf = rational_form(sc, (0, 1))
     u = dict(rf.u)
     u[(1, 0)] = {k: c * Fraction(1, 2) for k, c in u[(1, 0)].items()}
-    with pytest.raises(AssertionError, match="not closed"):
+    with pytest.raises(AssertionError, match="not 1 or i times an integer"):
         _verify_rational_form(sc, dataclasses.replace(rf, u=u))
+
+
+def test_verify_rejects_member_of_mixed_phase():
+    # u^beta + v^beta has entries 1 + i and -1 + i: neither 1 nor i times an
+    # integer vector
+    sc = _sc("G2")
+    rf = rational_form(sc, (0, 1))
+    u = dict(rf.u)
+    u[(1, 0)] = {k: c + rf.v[(1, 0)][k] for k, c in u[(1, 0)].items()}
+    with pytest.raises(AssertionError, match="not 1 or i times an integer"):
+        _verify_rational_form(sc, dataclasses.replace(rf, u=u))
+
+
+def test_phase_and_integers_reads_each_member_shape():
+    rf = rational_form(_sc("B3"), (0, 1, 0))
+    assert _phase_and_integers(rf.h[2]) == (1, {2: 1})
+    for beta, p in rf.parity.items():
+        assert _phase_and_integers(rf.u[beta])[0] == p
+        assert _phase_and_integers(rf.v[beta])[0] == 1 - p
+    assert _phase_and_integers({}) == (0, {})
+    assert _phase_and_integers({3: -2 * I_UNIT, 4: 5 * I_UNIT}) == (1, {3: -2, 4: 5})
+
+
+def test_check_block_reads_cartan_entries_at_odd_phase_only():
+    # h^k = i H^k: i H^k is in g_Z and in k, H^k is not in g_Z
+    sc = _sc("G2")
+    parity = rational_form(sc, (0, 1)).parity
+    _check_block(sc, parity, 1, {0: 3, 1: -1}, 0)
+    with pytest.raises(AssertionError, match="blocks violated"):
+        _check_block(sc, parity, 1, {0: 3}, 1)
+    with pytest.raises(AssertionError, match="not closed"):
+        _check_block(sc, parity, 0, {0: 3}, 0)
+
+
+def test_check_block_reads_the_sign_on_each_root_pair():
+    # on +-beta the member of phase e is i^e (x^beta + s x^-beta), with
+    # s = +1 exactly when e + parity(beta) is odd
+    sc = _sc("G2")
+    parity = rational_form(sc, (0, 1)).parity
+    for beta, p in parity.items():
+        ib, ineg = sc.root_index[beta], sc.root_index[sc._neg[beta]]
+        for e in (0, 1):
+            s = 1 if (e + p) % 2 else -1
+            _check_block(sc, parity, e, {ib: 2, ineg: 2 * s}, p)
+            with pytest.raises(AssertionError, match="blocks violated"):
+                _check_block(sc, parity, e, {ib: 2, ineg: 2 * s}, 1 - p)
+            for w in ({ib: 2, ineg: -2 * s}, {ineg: 1}):
+                with pytest.raises(AssertionError, match="not closed"):
+                    _check_block(sc, parity, e, w, p)
 
 
 def test_verify_rejects_flipped_parity_label():
@@ -301,21 +364,21 @@ def test_sparse_killing_gram_matches_dense(name):
     T = tuple(rng.randint(0, 1) for _ in range(rs.rank - 1)) + (1,)
     rf = rational_form(sc, T)
     members = list(rf.h) + [w for beta in rf.parity for w in (rf.u[beta], rf.v[beta])]
-    # vectors spread over several supports, and the Cartan part among roots
+    by_phase = {0: [], 1: []}
+    for w in members:
+        by_phase[_phase_and_integers(w)[0]].append(w)
+    # vectors spread over several supports, and the Cartan part among roots:
+    # sums of two members of one phase
     mixed = []
     for _ in range(6):
-        a, b = rng.sample(members, 2)
+        a, b = rng.sample(by_phase[rng.randint(0, 1)], 2)
         mixed.append({k: a.get(k, 0) + b.get(k, 0) for k in a.keys() | b.keys()})
-    # and one halved member, so the common denominator d is 2
-    mixed.append({k: c / 2 for k, c in rng.choice(members).items()})
     vecs = members + mixed
     rng.shuffle(vecs)
 
     def check(vecs):
-        # the integer gram of the scaled vectors is d^2 times the dense one
-        d, scaled = _gaussian_integer_vectors(vecs)
         dense = [[real_of(sc.killing(a, b)) for b in vecs] for a in vecs]
-        assert _killing_gram(sc, scaled) == [[d * d * x for x in row] for row in dense]
+        assert _killing_gram(sc, [_phase_and_integers(v) for v in vecs]) == dense
 
     check(vecs)
     for block in (0, 1):
@@ -324,11 +387,15 @@ def test_sparse_killing_gram_matches_dense(name):
 
 
 def test_killing_gram_rejects_imaginary_value():
-    # B(x^a + i x^-a, x^a + i x^-a) = 2 i B(x^a, x^-a)
+    # (1, 0) is compact for T = S^2 and noncompact for T = S^1, so its u is
+    # x^a - x^-a in one form and i (x^a - x^-a) in the other:
+    # B(x^a - x^-a, i (x^a - x^-a)) = -2 i B(x^a, x^-a)
     sc = _sc("G2")
-    ia, ineg = sc.root_index[(1, 0)], sc.root_index[(-1, 0)]
+    real, imaginary = (rational_form(sc, T).u[(1, 0)] for T in ((0, 1), (1, 0)))
+    members = [_phase_and_integers(real), _phase_and_integers(imaginary)]
+    assert [e for e, _ in members] == [0, 1]
     with pytest.raises(AssertionError, match="should be real"):
-        _killing_gram(sc, [((ia, 1, 0), (ineg, 0, 1))])
+        _killing_gram(sc, members)
 
 
 def _symmetric_samples(rng):

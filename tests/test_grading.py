@@ -30,7 +30,7 @@ from hodgeorbit.lines import (
     lines_parabolic,
 )
 from hodgeorbit.reps import embedding_degree, weight_from_fund, weyl_dimension
-from hodgeorbit.rootdata import root_system
+from hodgeorbit.rootdata import coroot_pairing, root_system
 
 SMALL_TYPES = [str(t) for t in lie_types_up_to(8)]
 
@@ -274,9 +274,16 @@ def test_node_outside_diagram_or_empty_set_is_index_out_of_range(name, arg):
         lambda rs: validate_sos(rs, (0, 1), [(0, 1, 0)]),
         lambda rs: root_values(rs, (1, 0)),
         lambda rs: evaluate((1, 0, 0), (1, 0)),
+        lambda rs: coroot_pairing(rs, (1, 0), (0, 1, 0)),
+        lambda rs: rs.pairings((1, 0, 0, 5)),
+        lambda rs: rs.bilinear((1, 0), (1, 0, 0)),
+        lambda rs: rs.bilinear((1, 0, 0), (1, 0)),
+        lambda rs: weight_from_fund(rs, (1,)),
+        lambda rs: validate_sos(rs, (0, 1), []),
     ],
     ids=["weyl_dimension", "schubert_dim", "rational_form", "validate_sos",
-         "root_values", "evaluate"],
+         "root_values", "evaluate", "coroot_pairing", "pairings", "bilinear_x",
+         "bilinear_y", "weight_from_fund", "validate_sos_empty"],
 )
 def test_vector_of_wrong_length_is_index_out_of_range(call):
     # B3 has rank 3; each call passes a vector of another length
