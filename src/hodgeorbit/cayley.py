@@ -17,7 +17,8 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cache
-from operator import add
+from itertools import permutations
+from operator import add, mul
 
 from .errors import (
     InvalidSOS,
@@ -112,13 +113,20 @@ def _so_graph(rs: RootSystem, roots) -> list[int]:
     return adj
 
 
+@cache
+def _candidate_graph(rs: RootSystem, E: tuple) -> tuple[tuple, tuple[int, ...]]:
+    """``sos_candidates`` and their ``_so_graph``, built once per (rs, E) and
+    shared by ``iter_sos`` and the census."""
+    cand = tuple(sos_candidates(rs, E))
+    return cand, tuple(_so_graph(rs, cand))
+
+
 def iter_sos(rs: RootSystem, E):
     """All nonempty strongly orthogonal subsets of {beta : beta(E) = 1}.
 
     Canonical (sorted) tuples, each subset exactly once.
     """
-    cand = sos_candidates(rs, E)
-    compat = _so_graph(rs, cand)
+    cand, compat = _candidate_graph(rs, tuple(E))
 
     def extend(pool, current):
         k_pool = pool
@@ -159,15 +167,24 @@ def real_rank(rs: RootSystem, E) -> int:
     """Maximum size of a pairwise strongly orthogonal subset of Delta_n.
 
     Restricting to positive noncompact roots is harmless (a sign flip keeps
-    strong orthogonality); orthogonal sets have at most ``rs.rank`` members.
+    strong orthogonality); orthogonal roots are linearly independent, so no
+    set has more than ``rs.rank`` members.  A greedy pass, highest root first,
+    that reaches ``rs.rank`` is therefore a certificate; otherwise a
+    branch-and-bound clique search, started from the greedy size, decides.
     """
     verts = [b for b, v in zip(rs.positive_roots, root_values(rs, E)) if v % 2]
+    kept = []  # (root, S-coordinates of its coroot)
+    for b in reversed(verts):
+        if all(not sum(map(mul, b, h)) and not rs.is_root(map(add, b, k)) for k, h in kept):
+            kept.append((b, rs.coroot_s_coords(b)))
+    best = len(kept)
+    if best == rs.rank:
+        return best
     n = len(verts)
     adj = _so_graph(rs, verts)
     # order by descending degree for better pruning
     order = sorted(range(n), key=lambda i: -bin(adj[i]).count("1"))
     radj = [sum(1 << j for j, v in enumerate(order) if adj[u] >> v & 1) for u in order]
-    best = 0
 
     def expand(size, pool):
         nonlocal best
@@ -449,40 +466,95 @@ class CensusEntry:
 
 @cache
 def boundary_census(rs: RootSystem, i: int) -> tuple[CensusEntry, ...]:
-    """All boundary diamonds of the fundamental adjoint (rs, {i}).
+    """All boundary diamonds of the fundamental adjoint (rs, {i}), one entry
+    per diamond, sorted by codimension.
 
-    Enumerates every strongly orthogonal B in {beta : beta(S^i) = 1},
-    labels each B with its Levi-Weyl class, computes the diamond of each
-    class once, and returns one entry per diamond sorted by codimension.
-    This is exact: a Levi reflection s_j (j != i) fixes E, and alpha ->
-    s_j(alpha) keeps alpha(E) and alpha(H^b) = s_j(alpha)(H^{s_j b}), so it
-    maps the roots counted in h^{p,q} of B onto those of s_j(B).
+    The diamond of a strongly orthogonal B in {beta : beta(S^i) = 1} is an
+    invariant of its class under W_L = W(g^0): a Levi reflection s_j (j != i)
+    fixes E, and alpha -> s_j(alpha) keeps alpha(E) and alpha(H^b) =
+    s_j(alpha)(H^{s_j b}), so it maps the roots counted in h^{p,q} of B onto
+    those of s_j(B).  So one diamond is computed per class, found without
+    labelling every set: a W_L-orbit of vectors holds one L-dominant vector,
+    whose stabiliser is the parabolic W_J on the nodes J of L orthogonal to
+    it (Steinberg; Humphreys, *Reflection Groups and Coxeter Groups*, 1.12).
+    So each orbit of ordered sequences (b_1, .., b_s) holds one canonical
+    sequence: b_1 L-dominant, b_2 J_1-dominant for J_1 = {j in L :
+    <b_1, alpha_j^v> = 0}, and so on.  ``_levi_classes`` walks these and keys
+    each class of sets by the least canonical form of its orderings.
+    ``representative`` is the earliest set in ``iter_sos`` order with its
+    diamond, so ``iter_sos`` runs until every diamond has one.
     """
     _require_fundamental_adjoint(rs, i)
     E = grading_element_for(rs, {i})
-    sets = list(iter_sos(rs, E))
-    labels = _levi_weyl_classes(rs, i, sets)
-    by_diamond: dict = {}  # diamond -> first set of each class, in iter_sos order
-    for k, B in enumerate(sets):
-        if labels[k] == k:
-            dia = _fast_diamond(rs, E, B)
-            by_diamond.setdefault(dia, []).append(B)
+    cand, compat = _candidate_graph(rs, E)
+    keys, class_of = _levi_classes(rs, i, cand, compat)
+    diamond_of = {key: _fast_diamond(rs, E, [cand[k] for k in key])
+                  for key in sorted(set(keys.values()))}
+    by_diamond: dict = {}  # diamond -> its class keys
+    for key, dia in diamond_of.items():
+        by_diamond.setdefault(dia, []).append(key)
+    first = {}
+    for B in iter_sos(rs, E):
+        first.setdefault(diamond_of[class_of(B)], B)
+        if len(first) == len(by_diamond):
+            break
     entries = []
-    for dia, firsts in by_diamond.items():
+    for dia, classes in by_diamond.items():
         _check_diamond(rs, dia)
-        inv = _invariants_from_diamond(rs, dia)
         entries.append(
             CensusEntry(
-                representative=firsts[0],
-                # conjugate sets have equal size, so the classes give every size
-                sizes=tuple(sorted({len(b) for b in firsts})),
-                invariants=inv,
+                representative=first[dia],
+                sizes=tuple(sorted({len(key) for key in classes})),
+                invariants=_invariants_from_diamond(rs, dia),
                 diamond=dia,
-                weyl_classes=len(firsts),
+                weyl_classes=len(classes),
             )
         )
     # a tuple: every caller shares the cached result
     return tuple(sorted(entries, key=lambda e: (e.invariants.codim, e.representative)))
+
+
+def _levi_classes(rs: RootSystem, i: int, cand, compat):
+    """(keys, class_of): ``keys`` maps each canonical sequence of candidate
+    indices to the least canonical form of its orderings, one key per class;
+    ``class_of`` gives the key of a set of candidate roots."""
+    levi = sum(1 << j for j in range(rs.rank) if j != i - 1)
+    pairs = [rs.pairings(b) for b in cand]
+    neg = [sum(1 << j for j, p in enumerate(ps) if p < 0) & levi for ps in pairs]
+    zero = [sum(1 << j for j, p in enumerate(ps) if p == 0) & levi for ps in pairs]
+    index = {b: k for k, b in enumerate(cand)}
+
+    @cache
+    def reflect(j, k):  # a Levi reflection keeps E, so it permutes the candidates
+        return index[rs.simple_reflection(cand[k], j)]
+
+    @cache
+    def move(J, k, x):
+        """x under the w in W_J that takes k into the J-dominant chamber."""
+        while down := neg[k] & J:
+            j = (down & -down).bit_length() - 1
+            k, x = reflect(j, k), reflect(j, x)
+        return x
+
+    def canon(seq):  # each member into the current stabiliser's dominant chamber
+        items, J = list(seq), levi
+        for t in range(len(items)):
+            items[t:] = [move(J, items[t], x) for x in items[t:]]
+            J &= zero[items[t]]
+        return tuple(items)
+
+    keys = {}
+
+    def walk(seq, pool, J):
+        for k in range(len(cand)):
+            if pool >> k & 1 and not neg[k] & J:
+                if (nxt := seq + (k,)) not in keys:  # else its class is keyed
+                    forms = set(map(canon, permutations(nxt)))
+                    keys.update(dict.fromkeys(forms, min(forms)))
+                walk(nxt, pool & compat[k], J & zero[k])
+
+    walk((), (1 << len(cand)) - 1, levi)
+    return keys, lambda B: keys[canon([index[b] for b in B])]
 
 
 def _fast_diamond(rs, E, B) -> HodgeDeligneDiamond:
@@ -495,35 +567,3 @@ def _fast_diamond(rs, E, B) -> HodgeDeligneDiamond:
         counts[p, y - p] = counts.get((p, y - p), 0) + n
         counts[-p, p - y] = counts.get((-p, p - y), 0) + n
     return HodgeDeligneDiamond(tuple(sorted(counts.items())))
-
-
-def _levi_weyl_classes(rs: RootSystem, i: int, sets) -> list[int]:
-    """Label each B-set with its W(g^0)-orbit: the index in ``sets`` of the
-    orbit's first member.  Sets are keyed by the bitmask of their roots.
-    A Levi reflection s_j swaps the roots in pairs {b, s_j b} and fixes the
-    rest, so its image of a mask flips the pairs the mask holds one root of."""
-    bit = {b: 1 << k for k, b in enumerate({b for B in sets for b in B})}
-    index = {sum(bit[b] for b in B): k for k, B in enumerate(sets)}
-    flips = [{x: x ^ bit[rs.simple_reflection(b, j)] for b, x in bit.items()}
-             for j in range(rs.rank) if j != i - 1]  # 0 where s_j fixes b
-    swaps = [(sum(x for x, f in flip.items() if f), flip) for flip in flips]
-    labels = [-1] * len(sets)
-    for first in range(len(sets)):
-        if labels[first] >= 0:
-            continue
-        labels[first] = first
-        stack = [sum(bit[b] for b in sets[first])]
-        while stack:
-            m = stack.pop()
-            for moved, flip in swaps:
-                image, hit = m, m & moved
-                while hit:  # each moved root flips its pair, so one held whole stays
-                    low = hit & -hit
-                    image ^= flip[low]
-                    hit ^= low
-                # a Levi reflection preserves both the E-value and strong
-                # orthogonality, so the image is again in the collection
-                if image != m and labels[k := index[image]] < 0:
-                    labels[k] = first
-                    stack.append(image)
-    return labels

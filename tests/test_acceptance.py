@@ -134,7 +134,7 @@ def test_criterion_05_table9_census():
     for (name, i), want in expected.items():
         census = cayley.boundary_census(root_system(name), i)
         assert {(e.invariants.codim, e.invariants.mu) for e in census} == want
-    for name in ("B4", "B5", "D5", "D6"):
+    for name in ("B4", "B5", "D5", "D6", "B36", "D64"):
         rs = root_system(name)
         n = 2 * rs.rank - 3 if name[0] == "B" else 2 * rs.rank - 4
         census = cayley.boundary_census(rs, 2)

@@ -145,6 +145,20 @@ def test_real_rank_matches_unbounded_search():
             assert real_rank(rs, E) == real_rank_unbounded(rs, E), (lie_type, node)
 
 
+def test_real_rank_matches_unbounded_search_on_every_grading():
+    # every E in {0,1}^r \ {0}: the rank certificate where the greedy set
+    # reaches the rank, the clique search where it does not
+    fallbacks = 0
+    for lie_type in lie_types_up_to(5):
+        rs = build_root_system(lie_type)
+        for E in itertools.product((0, 1), repeat=rs.rank):
+            if any(E):
+                want = real_rank_unbounded(rs, E)
+                assert real_rank(rs, E) == want, (lie_type, E)
+                fallbacks += want < rs.rank
+    assert fallbacks > 0
+
+
 def _three_test_graph(rs, roots):
     adj = [0] * len(roots)
     for k, j in itertools.combinations(range(len(roots)), 2):
@@ -408,7 +422,7 @@ CENSUS_ORACLE_CASES = [
     for t in lie_types_up_to(8)
     for i in range(1, t.rank + 1)
     if is_fundamental_adjoint(root_system(str(t)), {i})
-] + [("B10", 2), ("D12", 2)]
+] + [("B10", 2), ("D12", 2), ("B14", 2), ("D16", 2)]
 
 
 @pytest.mark.parametrize("name, i", CENSUS_ORACLE_CASES)
