@@ -99,15 +99,14 @@ def _require_valid(rs: RootSystem, E, B) -> tuple:
 def _so_graph(rs: RootSystem, roots) -> list[int]:
     """Bitmask k of the result: the j with roots[j] strongly orthogonal to roots[k].
 
-    For positive roots that is roots[j](H^{roots[k]}) = 0, read off the
-    ``root_values`` of that coroot, and roots[j] + roots[k] not a root."""
-    rows = [root_values(rs, rs.coroot_s_coords(b)) for b in roots]
-    at = list(map({b: k for k, b in enumerate(rs.positive_roots)}.get, roots))
-    n = len(roots)
-    adj = [0] * n
-    for i in range(n):
-        for j in range(i + 1, n):
-            if not rows[i][at[j]] and not rs.is_root(map(add, roots[i], roots[j])):
+    For positive roots that is (roots[j], roots[k]) = 0 and roots[j] + roots[k]
+    not a root.  (b, c) = sum_k c_k d_k <b, alpha_k^vee> runs over the few
+    nonzero pairings of b."""
+    adj = [0] * len(roots)
+    for i, b in enumerate(roots):
+        form = [(k, d * p) for k, (d, p) in enumerate(zip(rs.lengths, rs.pairings(b))) if p]
+        for j, c in enumerate(roots[i + 1:], i + 1):
+            if not sum([c[k] * x for k, x in form]) and not rs.is_root(map(add, b, c)):
                 adj[i] |= 1 << j
                 adj[j] |= 1 << i
     return adj

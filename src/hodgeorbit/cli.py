@@ -23,8 +23,8 @@ SCHEMA_VERSION = 1
 
 #: the largest rank for which ``roots`` (the listing) and ``orbit`` build a
 #: root system; above it they exit 2 before building.  Measured on 2 vCPU,
-#: CPython 3.11, as whole processes: the D64 listing takes 0.4-0.56 s and 24 MB
-#: (TSV) or 30 MB (JSON), the D64 census at node 2 0.9-1.0 s and 32 MB.
+#: CPython 3.11, as whole processes: the D64 listing takes 0.23-0.28 s and 24 MB
+#: (TSV) or 30 MB (JSON), the D64 census at node 2 0.29-0.38 s and 25 MB.
 MAX_BUILD_RANK = 64
 
 

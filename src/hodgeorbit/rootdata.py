@@ -12,13 +12,17 @@ The Weyl group acts through one primitive on ``RootSystem``.  The Cartan
 matrix is kept sparse, each column and each row as its nonzero entries (at
 most four), so ``pairings(v)`` costs O(rank) and ``simple_reflection(v, j)``
 O(1) when the pairing is 0, returning ``v`` itself.  ``weyl_orbit`` is the one
-breadth-first closure under simple reflections: it generates the roots, and
-it gives Levi orbits and Weyl words.  Each vertex carries its nonzero
-pairings, updated along an edge s_j by row j, and is reflected only where
-they are nonzero.  It acts on coordinate tuples, integer roots and
-``Fraction`` weights alike.  No table of simple reflections as permutations
-of root indices is stored: for the ``classical_census`` benchmark workload
-such tables would take 2.4 MB (tracemalloc), 7% of its peak.  The one stored
+breadth-first closure under simple reflections: it gives Levi orbits, Weyl
+words and weight orbits.  Each vertex carries its nonzero pairings, updated
+along an edge s_j by row j, and is reflected only where they are nonzero.
+It acts on coordinate tuples, integer roots and ``Fraction`` weights alike.
+The roots are climbed instead: a non-simple positive root beta has some
+<beta, alpha_j^vee> > 0, and s_j beta is a positive root of lower height, so
+the s_j with a negative pairing reach every positive root from the simple
+roots (Humphreys, *Introduction to Lie Algebras and Representation Theory*,
+10.2; Bourbaki VI.1.6).  No table of simple reflections as permutations of
+root indices is stored: for the ``classical_census`` benchmark workload such
+tables would take 2.4 MB (tracemalloc), 7% of its peak.  The one stored
 transpose is ``positive_columns``, the positive roots' coordinates by column
 for ``grading.root_values``: 0.37 MB on B36 (``sys.getsizeof``).  It is the
 one copy of the roots that anything pairs with all of them: a weight lam in
@@ -26,9 +30,9 @@ fundamental coordinates pairs as (lam, alpha) = alpha(h) with h_j = d_j lam_j,
 and a coroot H^b as its S-coordinates ``coroot_s_coords``.  The columns' Gram
 matrix also gives ``inverse_cartan`` without elimination.
 
-W preserves length and every root is conjugate to a simple root, so the tree
-that generates the roots gives each root the d_j of the simple root it came
-from: ``roots`` is the key view of that one map, and ``root_length`` a lookup.
+W preserves length, so the climb gives each positive root the d_j of the
+simple root it came from, and each negative root its negation's: ``roots`` is
+the key view of that one map, and ``root_length`` a lookup.
 
 ``cartan_type`` is the one classifier of Cartan matrices: it splits a
 matrix into connected components and names each one.
@@ -212,9 +216,9 @@ def _cartan_isomorphic(a, b) -> bool:
 class RootSystem:
     """Immutable root system for one simple Lie type.
 
-    The roots are the orbit of the simple roots under the simple
-    reflections; membership tests and root lengths go through one dict
-    keyed on coords, and ``roots`` is its key view.
+    The positive roots are climbed from the simple roots, the negative
+    roots are their negations; membership tests and root lengths go through
+    one dict keyed on coords, and ``roots`` is its key view.
     Safe for concurrent shared reads once constructed.
     """
 
@@ -280,24 +284,33 @@ class RootSystem:
         return tree
 
     def _generate(self):
-        r = self.rank
-        tree = self.weyl_orbit(self.simple_roots)
-        for beta, link in tree.items():
-            if min(beta) < 0 < max(beta):
-                raise AssertionError(f"mixed-sign root generated: {beta}")
-            # W preserves length: a start alpha_j has d_j, a child its parent's d
-            tree[beta] = self.lengths[beta.index(1)] if link is None else tree[link[0]]
+        # the climb of the module docstring: s_j where the pairing p < 0 adds
+        # -p alpha_j.  W preserves length: a start alpha_j has d_j, a child its
+        # parent's d, and a negative root its negation's
+        r, rows = self.rank, self._rows
+        tree = dict(zip(self.simple_roots, self.lengths))
+        frontier = [(v, dict(row), tree[v]) for v, row in zip(self.simple_roots, rows)]
+        while frontier:
+            nxt = []
+            for v, pair, d in frontier:
+                for j in sorted(j for j, p in pair.items() if p < 0):
+                    p = pair[j]
+                    w = v[:j] + (v[j] - p,) + v[j + 1:]
+                    if w not in tree:
+                        tree[w] = d
+                        child = dict(pair)
+                        for k, a in rows[j]:
+                            child[k] = child.get(k, 0) - p * a
+                        nxt.append((w, {k: x for k, x in child.items() if x}, d))
+            frontier = nxt
+        positives = sorted(tree, key=lambda beta: (sum(beta), beta))
+        tree.update({tuple([-c for c in beta]): d for beta, d in tree.items()})
         self._root_lengths = tree
         self.roots = tree.keys()
-        positives = [beta for beta in tree if sum(beta) > 0]
-        positives.sort(key=lambda beta: (sum(beta), beta))
         self.positive_roots = tuple(positives)
-        expected = POSITIVE_ROOT_COUNTS[self.lie_type.family](r)
-        if len(positives) != expected or len(tree) != 2 * expected:
-            raise AssertionError(
-                f"{self.lie_type}: got {len(positives)} positive roots of "
-                f"{len(tree)}, expected {expected}"
-            )
+        want = POSITIVE_ROOT_COUNTS[self.lie_type.family](r)
+        if len(positives) != want:
+            raise AssertionError(f"{self.lie_type}: {len(positives)} positive roots, not {want}")
         self.highest_root = theta = positives[-1]
         if any(theta[:j] + (theta[j] + 1,) + theta[j + 1:] in tree for j in range(r)):
             raise AssertionError("highest root is not highest")
@@ -356,7 +369,7 @@ class RootSystem:
         )
 
     def root_length(self, alpha) -> int:
-        """d_alpha with (alpha, alpha) = 2 d_alpha, read off the orbit tree."""
+        """d_alpha with (alpha, alpha) = 2 d_alpha, as the climb recorded it."""
         return self._root_lengths[self.check_root(alpha)]
 
     def coroot(self, alpha) -> Coords:

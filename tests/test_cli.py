@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import shutil
@@ -388,6 +389,37 @@ def test_roots_listing_repeats_are_served_from_memory(name):
     json_rows = [(r["coords"], r["height"], r["length"]) for r in payload["roots"]]
     assert tsv_rows == json_rows
     assert len(json_rows) == payload["count"] == len(root_system(name).positive_roots)
+
+
+#: SHA-256 of the ``roots`` stdout, (TSV, JSON).  The iteration order of
+#: ``rs.roots`` depends on how the roots are generated, and no byte of a
+#: listing may depend on it
+ROOTS_LISTING_SHA256 = {
+    "G2": ("3f831db221557f5454521592ca38062de0bbf1ccb8b90d37f54811a0d0c5a59f",
+           "d3dc855fb6be463bf3cfa8272b9691f18a3d52e30c0cdf6701464fa3beada100"),
+    "F4": ("d5c0b2a68e43defbdffd08e4865c78becb8d9db25cf5e05d394d2d46284518a4",
+           "14e84d9c0a2857bcda134229b273537dc2ada6fa99609d75bed14e46126feadb"),
+    "E8": ("e67967bc889a91866496b1964d67c4f42fa96652da54c1abe41996530f2a29da",
+           "817474807caab371c843ddfcd5a13d16feef90e33bb9de5c771696b9a08dd4dc"),
+    "A30": ("735613f1463f41543dcaec3e59e3fdc126a38ea01032a081279aa01bd9ee5ede",
+            "2a277ff7184160270a3a17543afdbdb28d0e178793444aa4de3e4c3c1fa935f4"),
+    "B36": ("f6751c8ae1b9ad92a87fa90b12005ddb4606ceb1726c11d4a76a1b952306e7e7",
+            "431bcb8b7963f9431d2857059e3491be770064260b734d5b9c2013e7af384710"),
+    "C32": ("f0734cb3ee628fff46cc09d7b6aa1beda50f512cced12996290d33c1d5d1e02b",
+            "5cd2f80b325ba991d2bf33452e88ea9f5aa8017a6bc00917d7fc5c2c44a6cfe2"),
+    "D26": ("46a270a9ed0b2030ca0b020afbbe4266e26ba55950de9d5cc21128a01ccd1fa4",
+            "e2d2b57cecd094e70a622079d2a5d0b5d856646253eaf420fe177f67f08f481b"),
+    "D64": ("b635a0c27647de20e910b0cc7a4101e7a70a8322d3a938d08a818ac7e5a19cac",
+            "f63faf1f462e5ec5ee934418e2d8eb21e79c87e2a4f58533cebe641ce625e280"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ROOTS_LISTING_SHA256))
+def test_roots_listing_bytes_are_pinned(name):
+    for fmt, want in zip(("tsv", "json"), ROOTS_LISTING_SHA256[name]):
+        res = _run(["roots", "--type", name, "--format", fmt])
+        assert res.exit_code == 0
+        assert hashlib.sha256(res.stdout_bytes).hexdigest() == want, fmt
 
 
 def test_count_only_and_over_cap_leave_the_listing_memo_alone():

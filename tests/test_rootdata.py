@@ -337,6 +337,21 @@ def test_weyl_orbit_tree_matches_every_node_oracle(lie_type):
         assert list(tree.items()) == list(weyl_orbit_by_every_node(rs, starts, nodes).items())
 
 
+@pytest.mark.parametrize("lie_type", ORBIT_TYPES + [LieType.parse("D64")], ids=str)
+def test_climb_matches_the_weyl_orbit_of_the_simple_roots(lie_type):
+    # the climb takes only edges with a negative pairing; the full orbit walk
+    # must find the same roots, and hand each one the d of its start
+    rs = root_system(str(lie_type))
+    tree = rs.weyl_orbit(rs.simple_roots)
+    assert rs.roots == set(tree)
+    inherited = {}
+    for beta, link in tree.items():  # a parent is inserted before its child
+        inherited[beta] = rs.lengths[beta.index(1)] if link is None else inherited[link[0]]
+    assert {beta: rs.root_length(beta) for beta in rs.roots} == inherited
+    positive = [beta for beta in tree if sum(beta) > 0]
+    assert rs.positive_roots == tuple(sorted(positive, key=lambda b: (sum(b), b)))
+
+
 @pytest.mark.parametrize("lie_type", ORBIT_TYPES, ids=str)
 def test_root_lengths_from_the_tree_match_the_form(lie_type):
     rs = root_system(str(lie_type))
