@@ -42,7 +42,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
 
-from .errors import CompactRoot, NotARoot
+from .cayley import _require_fundamental_adjoint
+from .errors import CompactRoot, NotDegreeOne
 from .grading import _check_index_set, evaluate, root_values
 from .rootdata import LieType, RootSystem, _exact_quotient, build_root_system
 
@@ -513,40 +514,6 @@ def cayley_standard_triple(sc: StructureConstants, beta, T):
     )
 
 
-# -- the A1 disc model ---------------------------------------------------------
-
-# Example matrices for sl2: x^a, H^a, x^{-a} in the defining representation.
-SL2_X_PLUS = ((0, 1), (0, 0))
-SL2_H = ((1, 0), (0, -1))
-SL2_X_MINUS = ((0, 0), (1, 0))
-
-
-def sl2_matrix(vec: dict, sc: StructureConstants):
-    """Realize an sl2 Chevalley-coordinate vector as a 2x2 matrix."""
-    if sc.rs.lie_type.rank != 1:
-        raise NotARoot("defining representation only wired for A1")
-    basis = {0: SL2_H, sc.root_index[(1,)]: SL2_X_PLUS, sc.root_index[(-1,)]: SL2_X_MINUS}
-    out = [[GaussianRational.of(0)] * 2 for _ in range(2)]
-    for k, c in vec.items():
-        m = basis[k]
-        for i in range(2):
-            for j in range(2):
-                out[i][j] = out[i][j] + GaussianRational.of(c) * m[i][j]
-    return tuple(tuple(row) for row in out)
-
-
-def a1_disc_coordinate_in_unit_disc(t) -> bool:
-    """Exact check that exp(i t y^{-alpha}) o_1 stays inside the unit disc.
-
-    Here i y^{-alpha} = (1/2)[[1, 1], [-1, -1]] (nilpotent) and o_1 = (1 : i);
-    the disc coordinate is the ratio of homogeneous coordinates.
-    """
-    half = Fraction(t) / 2
-    # the exponential [[1 + t/2, t/2], [-t/2, 1 - t/2]] sends (1 : i) to (z0 : z1) with
-    # z0 = (1 + t/2) + i t/2 and z1 = -t/2 + i (1 - t/2)
-    return half**2 + (1 - half) ** 2 < (1 + half) ** 2 + half**2
-
-
 # -- the 7-dimensional representation of g2 ------------------------------------
 
 G2_V7_WEIGHTS = ((2, 1), (1, 1), (1, 0), (0, 0), (-1, 0), (-1, -1), (-2, -1))
@@ -563,10 +530,6 @@ def _matmul(a, b):
 def _commutator(a, b):
     ab, ba = _matmul(a, b), _matmul(b, a)
     return tuple(tuple(x - y for x, y in zip(r, s)) for r, s in zip(ab, ba))
-
-
-#: the root directions x^{-beta} spanning g^{-1} for the grading E = S^2
-_G2_DIRECTIONS = ((0, -1), (-1, -1), (-2, -1), (-3, -1))
 
 
 def _g2():
@@ -645,58 +608,68 @@ def g2_rep_matrix(element: dict):
     return tuple(tuple(row) for row in out)
 
 
-def _g2_xi_element(xi) -> dict:
-    _, sc = _g2()
-    out = {}
-    for c, beta in zip(xi, _G2_DIRECTIONS):
-        c = Fraction(c)
-        if c:
-            out[sc.root_index[beta]] = c
-    return out
-
-
-def g2_yukawa_matrix(xi):
-    """The 2x2 matrix of xi^2 : V^{2,0} -> V^{0,2} on the weight basis.
+def g2_yukawa_matrix(xi: dict):
+    """The 2x2 matrix of xi^2 : V^{2,0} -> V^{0,2} on the weight basis, for
+    xi in g^{-1} of the grading E = S^2 as in ``second_fundamental_form``.
 
     Entries depend on the basis normalization; only the vanishing locus and
     rank are normalization-independent.
     """
-    m = g2_rep_matrix(_g2_xi_element(xi))
+    _check_degree_minus_one(_g2()[1], 2, xi)
+    m = g2_rep_matrix(xi)
     sq = _matmul(m, m)
     top = [0, 1]  # weights (2,1), (1,1): E-eigenvalue +1
     bottom = [5, 6]  # weights (-1,-1), (-2,-1): E-eigenvalue -1
     return tuple(tuple(sq[i][j] for j in top) for i in bottom)
 
 
-def g2_second_fundamental_form(xi) -> dict:
-    """(ad xi)^2 applied to the highest root vector; lands in g^0."""
-    rs, sc = _g2()
-    el = _g2_xi_element(xi)
-    v = sc.x(rs.highest_root)
-    out = sc.bracket(el, sc.bracket(el, v))
-    for k in out:
-        if k >= rs.rank:
-            alpha = sc.basis_roots[k - rs.rank]
-            if evaluate(alpha, (0, 1)) != 0:
-                raise AssertionError("second fundamental form left g^0")
+# -- the second fundamental form of an adjoint variety -------------------------
+
+
+def _check_degree_minus_one(sc: StructureConstants, i: int, xi: dict):
+    """NotFundamentalAdjoint unless (type, {i}) is fundamental adjoint, and
+    NotDegreeOne unless every entry of xi is an x^{-beta} with beta(E) = 1
+    for E = S^i, which reads beta's i-th coordinate."""
+    _require_fundamental_adjoint(sc.rs, i)
+    r = sc.rs.rank
+    for k in xi:
+        if not r <= k < sc.dim or sc.basis_roots[k - r][i - 1] != -1:
+            raise NotDegreeOne(f"basis index {k} is not in g^-1 of S^{i}")
+
+
+def second_fundamental_form(sc: StructureConstants, i: int, xi: dict) -> dict:
+    """II(xi) = (ad xi)^2 x^theta for xi in g^{-1} (Chevalley coordinates) of
+    the grading E = S^i of a fundamental adjoint (type, {i}); it lands in g^0.
+
+    The variety of lines C_o through the base point is the base locus of II
+    (Landsberg-Manivel, Comment. Math. Helv. 78, 2003)."""
+    _check_degree_minus_one(sc, i, xi)
+    rs = sc.rs
+    out = sc.bracket(xi, sc.bracket(xi, sc.x(rs.highest_root)))
+    if any(k >= rs.rank and sc.basis_roots[k - rs.rank][i - 1] for k in out):
+        raise AssertionError("second fundamental form left g^0")
     return out
 
 
-def g2_cubic_cone_point(t):
-    """exp(t ad x^{-alpha_1}) x^{-alpha_2} as coefficients in g^{-1}.
+def cone_point(sc: StructureConstants, i: int, steps) -> dict:
+    """exp(t_m ad x^{gamma_m}) .. exp(t_1 ad x^{gamma_1}) x^{-alpha_i} for
+    ``steps`` ((gamma_1, t_1), .., (gamma_m, t_m)), a point of g^{-1} on the
+    cone over C_o of a fundamental adjoint (type, {i}).
 
-    ad x^{-alpha_1} is nilpotent on g^{-1}, so the exponential is the exact
-    polynomial sum; the resulting curve sweeps out the twisted cubic C_o.
-    """
-    _, sc = _g2()
-    t = Fraction(t)
-    lower = sc.x((-1, 0))
-    cur = sc.x((0, -1))
-    total = dict(cur)
-    fact = 1
-    for k in range(1, 4):
-        cur = sc.bracket(lower, cur)
-        fact *= k
-        for idx, c in cur.items():
-            total[idx] = total.get(idx, 0) + c * t**k / fact
-    return tuple(Fraction(total.get(sc.root_index[b], 0)) for b in _G2_DIRECTIONS)
+    Each gamma_k must be a Levi root, gamma_k(E) = 0, or NotDegreeOne is
+    raised.  ad x^gamma is nilpotent, so each factor is the finite sum of
+    (t ad x^gamma)^k / k!, in exact rationals."""
+    _require_fundamental_adjoint(sc.rs, i)
+    vec = sc.x(tuple(-int(j == i - 1) for j in range(sc.rs.rank)))
+    for gamma, t in steps:
+        op = sc.x(gamma)
+        if gamma[i - 1]:
+            raise NotDegreeOne(f"{gamma} has E-value {gamma[i - 1]}, need 0")
+        t, total, term, k = Fraction(t), dict(vec), vec, 0
+        while term := sc.bracket(op, term):
+            k += 1
+            term = {idx: c * t / k for idx, c in term.items()}
+            for idx, c in term.items():
+                total[idx] = total.get(idx, 0) + c
+        vec = {idx: c for idx, c in total.items() if c}
+    return vec

@@ -41,7 +41,9 @@ class NotMaximalParabolic(HodgeOrbitError):
 
 
 class NotDegreeOne(HodgeOrbitError):
-    """Root does not lie in the degree-one eigenspace."""
+    """Root or basis element outside the eigenspace of the grading that an
+    operation requires: degree one for a line direction, degree zero for a
+    Levi root."""
 
 
 class InvalidSOS(HodgeOrbitError):

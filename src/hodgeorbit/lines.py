@@ -9,8 +9,10 @@ is decided by the string-length criterion
 which is equivalent to xi^2(v) = 0 for xi = x^{-beta} and v a highest weight
 vector: v spans an sl2^beta-string of length mu(H^beta) + 1 (mu + beta is
 never a weight), so x^{-beta} applied twice kills v exactly when that string
-has at most two steps.  This derived criterion is cross-validated against
-explicit matrix computations for G2 and B3 in the chevalley tests.
+has at most two steps.  The tests check the criterion on every fundamental
+adjoint variety up to rank 8 against ``chevalley.second_fundamental_form``,
+II(xi) = (ad xi)^2 x^theta, whose base locus is C_o: II(x^{-beta}) vanishes
+exactly on the directions the criterion admits.
 """
 
 from __future__ import annotations

@@ -27,6 +27,8 @@ passes: the positive constants, then the mixed-sign ones, then their
 negatives.  The g2 matrices on V7 come from a search over the signs of the
 lowering entries, checked on every basis bracket.  The dimension of a
 component of C_o is counted by walking each positive root's support.
+The defining representation of sl2 with its unit-disc check, and the G2
+coordinates of g^{-1}, are fixtures that only the tests use.
 """
 
 import functools
@@ -43,6 +45,7 @@ from hodgeorbit.cayley import (
     iter_sos,
     sos_candidates,
 )
+from hodgeorbit.chevalley import GaussianRational
 from hodgeorbit.errors import DimensionCapExceeded
 from hodgeorbit.grading import evaluate, grading_element_for
 from hodgeorbit.reps import (
@@ -832,3 +835,49 @@ def real_of(value):
     im = getattr(value, "im", 0)
     assert im == 0, value
     return Fraction(getattr(value, "re", value))
+
+
+# -- fixtures for the A1 disc model and the G2 line directions ----------------
+
+# x^a, H^a, x^{-a} of sl2 in the defining representation.
+SL2_X_PLUS = ((0, 1), (0, 0))
+SL2_H = ((1, 0), (0, -1))
+SL2_X_MINUS = ((0, 0), (1, 0))
+
+
+def sl2_matrix(vec: dict, sc):
+    """An A1 Chevalley-coordinate vector as a 2x2 matrix of Gaussian
+    rationals."""
+    assert sc.rs.lie_type.rank == 1, "defining representation only wired for A1"
+    basis = {0: SL2_H, sc.root_index[(1,)]: SL2_X_PLUS, sc.root_index[(-1,)]: SL2_X_MINUS}
+    out = [[GaussianRational.of(0)] * 2 for _ in range(2)]
+    for k, c in vec.items():
+        m = basis[k]
+        for i in range(2):
+            for j in range(2):
+                out[i][j] = out[i][j] + GaussianRational.of(c) * m[i][j]
+    return tuple(tuple(row) for row in out)
+
+
+def a1_disc_coordinate_in_unit_disc(t) -> bool:
+    """Exact check that exp(i t y^{-alpha}) o_1 stays inside the unit disc.
+
+    Here i y^{-alpha} = (1/2)[[1, 1], [-1, -1]] (nilpotent) and o_1 = (1 : i);
+    the disc coordinate is the ratio of homogeneous coordinates.  The
+    inequality reduces to t > 0.
+    """
+    half = Fraction(t) / 2
+    # the exponential [[1 + t/2, t/2], [-t/2, 1 - t/2]] sends (1 : i) to (z0 : z1) with
+    # z0 = (1 + t/2) + i t/2 and z1 = -t/2 + i (1 - t/2)
+    return half**2 + (1 - half) ** 2 < (1 + half) ** 2 + half**2
+
+
+#: the root directions x^{-beta} spanning g^{-1} of G2 for the grading E = S^2
+G2_DIRECTIONS = ((0, -1), (-1, -1), (-2, -1), (-3, -1))
+
+
+def g2_xi(sc, coeffs) -> dict:
+    """The element sum c_k x^{-beta_k} of g^{-1} of G2, over ``G2_DIRECTIONS``,
+    as a Chevalley-coordinate dict with its zero entries dropped."""
+    return {sc.root_index[beta]: Fraction(c) for c, beta in zip(coeffs, G2_DIRECTIONS) if c}
+

@@ -385,19 +385,22 @@ def test_criterion_14_property_suites():
 
     # Yukawa / second-fundamental-form locus agreement: 100 random points
     # plus 20 cubic-cone points
+    from helpers import a1_disc_coordinate_in_unit_disc, g2_xi
+
+    g2 = chevalley.structure_constants(root_system("G2"))
     for _ in range(100):
-        xi = tuple(
+        xi = g2_xi(g2, tuple(
             Fraction(rng.randrange(-5, 6), rng.randrange(1, 4)) for _ in range(4)
-        )
+        ))
         yuk = chevalley.g2_yukawa_matrix(xi)
-        sff = chevalley.g2_second_fundamental_form(xi)
+        sff = chevalley.second_fundamental_form(g2, 2, xi)
         assert (not any(x for row in yuk for x in row)) == (not sff)
     for _ in range(20):
         t = Fraction(rng.randrange(-30, 31), rng.randrange(1, 9))
-        xi = chevalley.g2_cubic_cone_point(t)
+        xi = chevalley.cone_point(g2, 2, [((-1, 0), t)])
         assert not any(x for row in chevalley.g2_yukawa_matrix(xi) for x in row)
 
     # the exact A1 unit-disc computation standing in for the analytic claims
     for t in (1, 2, 10):
-        assert chevalley.a1_disc_coordinate_in_unit_disc(t)
+        assert a1_disc_coordinate_in_unit_disc(t)
     _report(14, "property suites (Jacobi, diamonds, Freudenthal, flip, Yukawa)")

@@ -9,17 +9,15 @@ import pytest
 from hodgeorbit import chevalley
 from hodgeorbit.chevalley import (
     GaussianRational,
-    a1_disc_coordinate_in_unit_disc,
     adjoint_matrix,
     cayley_standard_triple,
-    g2_cubic_cone_point,
+    cone_point,
     g2_rep_matrix,
-    g2_second_fundamental_form,
     g2_seven_dim_rep,
     g2_yukawa_matrix,
     jacobi_residual,
     rational_form,
-    sl2_matrix,
+    second_fundamental_form,
     structure_constants,
     theta,
 )
@@ -32,20 +30,23 @@ from hodgeorbit.chevalley import (
     _phase_and_integers,
     _verify_rational_form,
 )
-from hodgeorbit.errors import CompactRoot
+from hodgeorbit.errors import CompactRoot, NotDegreeOne, NotFundamentalAdjoint
 from hodgeorbit.grading import evaluate
 from hodgeorbit.rootdata import root_system
 
 from helpers import (
+    a1_disc_coordinate_in_unit_disc,
     bracket_table_by_roots,
     definite_by_sylvester,
     extend_by_root_pairs,
     g2_seven_dim_rep_by_sign_search,
+    g2_xi,
     jacobi_residual_by_dicts,
     lie_types_up_to,
     n_table_by_three_passes,
     n_table_of,
     real_of,
+    sl2_matrix,
 )
 
 EXHAUSTIVE_TYPES = ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C3", "C4",
@@ -552,6 +553,9 @@ def test_cayley_standard_triple_a1_matches_example():
 def test_a1_disc_model():
     for t in (1, 2, 10):
         assert a1_disc_coordinate_in_unit_disc(t)
+    # the check reduces to t > 0, so it can fail
+    for t in (-3, Fraction(-1, 2), 0):
+        assert not a1_disc_coordinate_in_unit_disc(t)
 
 
 def test_g2_seven_dim_rep_brackets():
@@ -607,10 +611,14 @@ def test_g2_lowering_squared_kills_top():
         assert all(sq[i][j] == 0 for i in range(7))
 
 
+def _yukawa(coeffs):
+    return g2_yukawa_matrix(g2_xi(_sc("G2"), coeffs))
+
+
 def test_g2_yukawa_examples():
-    assert all(x == 0 for row in g2_yukawa_matrix((1, 0, 0, 0)) for x in row)
-    assert any(x != 0 for row in g2_yukawa_matrix((0, 1, 0, 0)) for x in row)
-    assert any(x != 0 for row in g2_yukawa_matrix((0, 0, 1, 0)) for x in row)
+    assert all(x == 0 for row in _yukawa((1, 0, 0, 0)) for x in row)
+    assert any(x != 0 for row in _yukawa((0, 1, 0, 0)) for x in row)
+    assert any(x != 0 for row in _yukawa((0, 0, 1, 0)) for x in row)
 
 
 def _rank2(m):
@@ -623,45 +631,48 @@ def _rank2(m):
 def test_g2_yukawa_rank_stratification():
     # entries are normalization-dependent but the rank strata are not:
     # rank 0 on the cubic, rank 1 on its tangent directions, rank 2 generic
-    assert _rank2(g2_yukawa_matrix((1, 0, 0, 0))) == 0
-    assert _rank2(g2_yukawa_matrix((0, 1, 0, 0))) == 1
-    assert _rank2(g2_yukawa_matrix((0, 0, 1, 0))) == 1
-    assert _rank2(g2_yukawa_matrix((1, 0, 0, 1))) == 2
+    assert _rank2(_yukawa((1, 0, 0, 0))) == 0
+    assert _rank2(_yukawa((0, 1, 0, 0))) == 1
+    assert _rank2(_yukawa((0, 0, 1, 0))) == 1
+    assert _rank2(_yukawa((1, 0, 0, 1))) == 2
     rng = random.Random(5)
     ranks = set()
     for _ in range(50):
         xi = tuple(Fraction(rng.randrange(-9, 10)) for _ in range(4))
-        ranks.add(_rank2(g2_yukawa_matrix(xi)))
+        ranks.add(_rank2(_yukawa(xi)))
     assert 2 in ranks
 
 
 def test_g2_yukawa_vanishes_on_cubic_cone():
+    # the twisted cubic: exp(t ad x^{-a1}) x^{-a2}
+    sc = _sc("G2")
     rng = random.Random(7)
     for _ in range(20):
         t = Fraction(rng.randrange(-40, 40), rng.randrange(1, 12))
         s = Fraction(rng.randrange(1, 8))
-        xi = tuple(s * c for c in g2_cubic_cone_point(t))
+        xi = {k: s * c for k, c in cone_point(sc, 2, [((-1, 0), t)]).items()}
         assert all(x == 0 for row in g2_yukawa_matrix(xi) for x in row)
-        sff = g2_second_fundamental_form(xi)
+        sff = second_fundamental_form(sc, 2, xi)
         assert not sff
 
 
 def test_g2_second_fundamental_form_examples():
-    assert g2_second_fundamental_form((1, 0, 0, 0)) == {}
-    out = g2_second_fundamental_form((0, 0, 1, 0))
     sc = _sc("G2")
+    assert second_fundamental_form(sc, 2, g2_xi(sc, (1, 0, 0, 0))) == {}
+    out = second_fundamental_form(sc, 2, g2_xi(sc, (0, 0, 1, 0)))
     idx_neg_a1 = sc.root_index[(-1, 0)]
     assert out.get(idx_neg_a1) == 2  # the 2 xi_2^2 term toward x^{-a1}
 
 
 def test_g2_yukawa_and_sff_vanishing_loci_agree():
+    sc = _sc("G2")
     rng = random.Random(20240810)
     for _ in range(100):
-        xi = tuple(
+        xi = g2_xi(sc, tuple(
             Fraction(rng.randrange(-6, 7), rng.randrange(1, 5)) for _ in range(4)
-        )
+        ))
         yuk_zero = all(x == 0 for row in g2_yukawa_matrix(xi) for x in row)
-        sff_zero = not g2_second_fundamental_form(xi)
+        sff_zero = not second_fundamental_form(sc, 2, xi)
         assert yuk_zero == sff_zero
 
 
@@ -685,12 +696,40 @@ def test_g2_levi_orbit_of_lowest_direction_in_kernel():
                 total[idx] = total.get(idx, 0) + c * t**k / fact
         return {k: v for k, v in total.items() if v}
 
-    directions = ((0, -1), (-1, -1), (-2, -1), (-3, -1))
     for _ in range(25):
-        vec = sc.x((0, -1))
-        for op in (raise_op, lower_op):
+        vec, steps = sc.x((0, -1)), []
+        for gamma, op in (((1, 0), raise_op), ((-1, 0), lower_op)):
             t = Fraction(rng.randrange(-9, 10), rng.randrange(1, 4))
             vec = exp_ad(op, vec, t)
+            steps.append((gamma, t))
+        assert cone_point(sc, 2, steps) == vec
         lam = Fraction(rng.randrange(1, 5))
-        xi = tuple(lam * vec.get(sc.root_index[b], Fraction(0)) for b in directions)
+        xi = {k: lam * c for k, c in vec.items()}
         assert all(x == 0 for row in g2_yukawa_matrix(xi) for x in row)
+
+
+def test_second_fundamental_form_and_cone_point_reject_bad_input():
+    sc = _sc("B3")
+    xi = {sc.root_index[(0, -1, 0)]: 1}
+    assert second_fundamental_form(sc, 2, xi) == {}
+    # B3 at node 1 or 3 is no adjoint variety
+    for i in (1, 3):
+        with pytest.raises(NotFundamentalAdjoint):
+            second_fundamental_form(sc, i, xi)
+        with pytest.raises(NotFundamentalAdjoint):
+            cone_point(sc, i, [])
+    # a Cartan entry, a root of degree 0, +1 or -2, and no basis index at all
+    for bad in (sc.h(2), sc.x((-1, 0, 0)), sc.x((0, 1, 0)), sc.x((-1, -2, -2)), {sc.dim: 1}):
+        with pytest.raises(NotDegreeOne):
+            second_fundamental_form(sc, 2, {**xi, **bad})
+    # the Yukawa matrix shares the degree check
+    g2 = _sc("G2")
+    for bad in (g2.h(1), g2.x((-1, 0)), g2.x((0, 1)), g2.x((-3, -2)), {g2.dim: 1}):
+        with pytest.raises(NotDegreeOne):
+            g2_yukawa_matrix({**g2_xi(g2, (1, 0, 0, 0)), **bad})
+    # a step must be a Levi root
+    assert cone_point(sc, 2, [((1, 0, 0), 3), ((0, 0, -1), Fraction(1, 2))])
+    for gamma in ((0, 1, 0), (-1, -1, 0), (0, 1, 2)):
+        with pytest.raises(NotDegreeOne):
+            cone_point(sc, 2, [((1, 0, 0), 1), (gamma, 1)])
+

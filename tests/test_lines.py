@@ -1,10 +1,18 @@
 import itertools
+import random
+from fractions import Fraction
 
 import pytest
 
-from helpers import co_dimension_by_support, lie_types_up_to
+from helpers import co_dimension_by_support, g2_xi, lie_types_up_to
+from hodgeorbit.chevalley import (
+    cone_point,
+    g2_yukawa_matrix,
+    second_fundamental_form,
+    structure_constants,
+)
 from hodgeorbit.errors import IndexOutOfRange, NotDegreeOne, NotMaximalParabolic
-from hodgeorbit.grading import evaluate, grading_element_for, parabolic
+from hodgeorbit.grading import evaluate, grading_element_for, is_fundamental_adjoint, parabolic
 from hodgeorbit.lines import (
     co_components,
     co_descriptor,
@@ -25,6 +33,12 @@ ADJACENCY = {
     ("B4", 2): {1, 3},
     ("D5", 2): {1, 3},
 }
+
+# every fundamental adjoint (type, node) up to rank 8
+EVERY_ADJOINT = (
+    [(f"B{n}", 2) for n in range(3, 9)] + [(f"D{n}", 2) for n in range(4, 9)]
+    + [("E6", 2), ("E7", 1), ("E8", 8), ("F4", 1), ("G2", 2)]
+)
 
 # C_o data: (subdiagram types, dimension)
 CO_TABLE = {
@@ -148,14 +162,14 @@ def test_membership_requires_degree_one():
 def test_membership_agrees_with_yukawa_kernel_g2():
     # cross-validation of the string-length criterion against the matrix
     # computation: x^{-beta} is in C_o iff its Yukawa square vanishes
-    from hodgeorbit.chevalley import g2_yukawa_matrix
-
     g2 = root_system("G2")
     directions = {(0, 1): 0, (1, 1): 1, (2, 1): 2, (3, 1): 3}
     for beta, slot in directions.items():
         xi = [0, 0, 0, 0]
         xi[slot] = 1
-        vanishes = all(x == 0 for row in g2_yukawa_matrix(xi) for x in row)
+        vanishes = all(
+            x == 0 for row in g2_yukawa_matrix(g2_xi(structure_constants(g2), xi)) for x in row
+        )
         assert vanishes == co_membership_root_direction(g2, {2}, beta)
 
 
@@ -198,3 +212,50 @@ def test_membership_matches_weight_pairing():
                     assert co_membership_root_direction(rs, I, beta) == expected
                     cases += 1
     assert cases == 8467
+
+
+def test_second_fundamental_form_base_locus_on_every_adjoint_variety():
+    """C_o is the base locus of II(xi) = (ad xi)^2 x^theta on g^{-1}: on each
+    root direction II vanishes exactly where the string-length criterion
+    holds, it vanishes on cone points exp(ad x^gamma_m) .. x^{-alpha_i} built
+    from Levi roots gamma, and it does not vanish on generic xi."""
+    assert set(EVERY_ADJOINT) == {
+        (str(t), i) for t in lie_types_up_to(8) for i in range(1, t.rank + 1)
+        if is_fundamental_adjoint(build_root_system(t), {i})
+    }
+    directions = 0
+    for name, i in EVERY_ADJOINT:
+        rs = root_system(name)
+        sc = structure_constants(rs)
+        degree_one = [b for b in rs.positive_roots if b[i - 1] == 1]
+        for beta in degree_one:
+            xi = sc.x(tuple(-c for c in beta))
+            in_co = co_membership_root_direction(rs, {i}, beta)
+            assert (not second_fundamental_form(sc, i, xi)) == in_co, (name, beta)
+        directions += len(degree_one)
+        levi = [g for g in rs.roots if g[i - 1] == 0]
+        rng = random.Random(name)
+        for _ in range(20):
+            steps = [
+                (rng.choice(levi), Fraction(rng.randrange(-5, 6), rng.randrange(1, 4)))
+                for _ in range(3)
+            ]
+            point = cone_point(sc, i, steps)
+            assert point and not second_fundamental_form(sc, i, point), (name, steps)
+        for _ in range(20):
+            xi = {sc.root_index[tuple(-c for c in b)]: rng.choice((-3, -2, -1, 1, 2, 3))
+                  for b in degree_one}
+            assert second_fundamental_form(sc, i, xi), (name, xi)
+    assert directions == 302
+
+
+def test_co_dimension_as_levi_orbit_of_lowest_direction():
+    """dim C_o is the dimension of the G^0-orbit of [x^{-alpha_i}]:
+    #{gamma in Delta(g^0) : gamma - alpha_i in Delta}."""
+    for name, i in EVERY_ADJOINT + [("B36", 2), ("D64", 2)]:
+        rs = root_system(name)
+        levi = [g for g in rs.roots if g[i - 1] == 0]
+        orbit_dim = sum(
+            rs.is_root(tuple(c - int(j == i - 1) for j, c in enumerate(g))) for g in levi
+        )
+        assert orbit_dim == co_descriptor(rs, {i}).dimension, name

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -13,8 +14,9 @@ from helpers import (
     weyl_dimension_by_bilinear,
     weyl_orbit_with_signs,
 )
+from hodgeorbit.cayley import real_rank
 from hodgeorbit.errors import DimensionCapExceeded, NotDominant
-from hodgeorbit.grading import grading_element_for
+from hodgeorbit.grading import grading_element_for, parabolic
 from hodgeorbit.reps import (
     dual_weight,
     embedding_degree,
@@ -342,3 +344,31 @@ def test_dual_weight_is_minus_w0():
             # -w_0 sends c_i w_i to c_i w_{perm[i]}, and perm is an involution
             expected = tuple(fund[perm[j] - 1] for j in range(1, rs.rank + 1))
             assert dual.fund_coords == expected
+
+
+def test_b2_and_c2_agree_with_nodes_swapped():
+    """B2 and C2 are one Lie algebra, built from different Cartan data: node i
+    of B2 is node 3 - i of C2, so the weight (a, b) of B2 is (b, a) of C2."""
+    b2, c2 = root_system("B2"), root_system("C2")
+    for i in (1, 2):
+        assert parabolic(b2, {i}).eigen_dims == parabolic(c2, {3 - i}).eigen_dims
+        assert embedding_degree(b2, {i}) == embedding_degree(c2, {3 - i})
+        assert real_rank(b2, grading_element_for(b2, {i})) == real_rank(
+            c2, grading_element_for(c2, {3 - i})
+        )
+    weights = 0
+    for a in range(5):
+        for b in range(5):
+            if not a and not b:
+                continue
+            lam, mu = weight_from_fund(b2, (a, b)), weight_from_fund(c2, (b, a))
+            assert weyl_dimension(b2, lam) == weyl_dimension(c2, mu)
+            assert Counter(freudenthal_multiplicities(b2, lam).entries.values()) == Counter(
+                freudenthal_multiplicities(c2, mu).entries.values()
+            )
+            for i in (1, 2):
+                assert rep_hodge_numbers(b2, lam, grading_element_for(b2, {i})) == (
+                    rep_hodge_numbers(c2, mu, grading_element_for(c2, {3 - i}))
+                )
+            weights += 1
+    assert weights == 24
