@@ -22,9 +22,9 @@ class NotStronglyOrthogonal(HodgeOrbitError):
 
 
 class IndexOutOfRange(HodgeOrbitError):
-    """A Dynkin node outside 1..rank or an empty node set, which ``grading``
-    checks, or a coordinate vector whose length is not the rank, which
-    ``RootSystem.check_length`` checks."""
+    """A Dynkin node outside 1..rank or an empty node set (``grading``), a
+    coordinate vector whose length is not the rank (``RootSystem.check_length``)
+    or a basis index outside 0..dim-1 (``StructureConstants``)."""
 
 
 class NotDominant(HodgeOrbitError):

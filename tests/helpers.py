@@ -596,8 +596,8 @@ def n_table_of(sc):
     r, roots = sc.rs.rank, sc.basis_roots
     table = {}
     for a, row in zip(roots, sc.ad[r:]):
-        for j, entry in row.items():
-            if j >= r and (b := roots[j - r]) != _negate(a):
+        for j, entry in enumerate(row):
+            if entry and j >= r and (b := roots[j - r]) != _negate(a):
                 ((_, n),) = entry
                 table[(a, b)] = n
     return table

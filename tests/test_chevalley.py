@@ -2,6 +2,7 @@ import copy
 import dataclasses
 import itertools
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -30,7 +31,12 @@ from hodgeorbit.chevalley import (
     _phase_and_integers,
     _verify_rational_form,
 )
-from hodgeorbit.errors import CompactRoot, NotDegreeOne, NotFundamentalAdjoint
+from hodgeorbit.errors import (
+    CompactRoot,
+    IndexOutOfRange,
+    NotDegreeOne,
+    NotFundamentalAdjoint,
+)
 from hodgeorbit.grading import evaluate
 from hodgeorbit.rootdata import root_system
 
@@ -101,12 +107,23 @@ def test_structure_constant_symmetries():
 ORACLE_TYPES = [str(t) for t in lie_types_up_to(8)]
 
 
+def assert_rows_hold(sc, table):
+    """``sc.ad`` is dim rows of dim slots; slot (i, j) holds table[(i, j)],
+    and exactly () where ``table`` has no entry."""
+    assert len(sc.ad) == sc.dim
+    for i, row in enumerate(sc.ad):
+        assert len(row) == sc.dim
+        for j, entry in enumerate(row):
+            assert type(entry) is tuple and entry == table.get((i, j), ()), (i, j)
+    assert all(i in range(sc.dim) and j in range(sc.dim) for i, j in table)
+
+
 @pytest.mark.parametrize("name", ORACLE_TYPES)
 def test_bracket_rows_match_tuple_keyed_table(name):
     sc = _sc(name)
-    flat = {(i, j): entry for i, row in enumerate(sc.ad) for j, entry in row.items()}
-    assert flat == bracket_table_by_roots(sc, n_table_of(sc))
-    assert all(sc.basis_bracket(i, j) == entry for (i, j), entry in flat.items())
+    table = bracket_table_by_roots(sc, n_table_of(sc))
+    assert_rows_hold(sc, table)
+    assert all(sc.basis_bracket(i, j) == entry for (i, j), entry in table.items())
 
 
 @pytest.mark.parametrize("name", ORACLE_TYPES)
@@ -114,8 +131,7 @@ def test_one_pass_table_matches_three_pass_build(name):
     sc = _sc(name)
     oracle = n_table_by_three_passes(sc.rs)
     assert n_table_of(sc) == oracle
-    flat = {(i, j): entry for i, row in enumerate(sc.ad) for j, entry in row.items()}
-    assert flat == bracket_table_by_roots(sc, oracle)
+    assert_rows_hold(sc, bracket_table_by_roots(sc, oracle))
 
 
 @pytest.mark.parametrize("name", ORACLE_TYPES)
@@ -482,7 +498,7 @@ def test_jacobi_residual_matches_dict_oracle():
 
 def test_jacobi_residual_matches_dict_oracle_on_corrupted_table():
     sc = copy.copy(_sc("G2"))
-    sc.ad = [dict(row) for row in sc.ad]
+    sc.ad = [list(row) for row in sc.ad]
     a, b = sc.root_index[(1, 0)], sc.root_index[(0, 1)]
     ((target, n),) = sc.ad[a][b]
     sc.ad[a][b] = ((target, n + 1),)
@@ -494,6 +510,46 @@ def test_jacobi_residual_matches_dict_oracle_on_corrupted_table():
     assert nonzero
     # the corruption stayed in the copy
     assert not jacobi_residual(_sc("G2"), a, b, sc.root_index[(-1, 0)])
+
+
+@pytest.mark.parametrize("name", ["G2", "B3"])
+def test_jacobi_residual_matches_dict_oracle_on_corrupted_coroot_entry(name):
+    """[x^beta, x^-beta] = H^beta doubled, on the highest root, whose coroot
+    has several terms: the sweep must read every term of a multi-term entry
+    the way ``sc.bracket`` does."""
+    sc = chevalley.StructureConstants(root_system(name))  # the cached one stays intact
+    beta = sc.rs.highest_root
+    ib, ineg = sc.root_index[beta], sc.root_index[sc._neg[beta]]
+    assert len(sc.ad[ib][ineg]) > 1
+    sc.ad[ib][ineg] = tuple((k, 2 * c) for k, c in sc.ad[ib][ineg])
+    nonzero = 0
+    for i, j, k in itertools.product(range(sc.dim), repeat=3):
+        got = jacobi_residual(sc, i, j, k)
+        assert got == jacobi_residual_by_dicts(sc, i, j, k), (i, j, k)
+        nonzero += bool(got)
+    assert nonzero
+
+
+@pytest.mark.parametrize("name", ["G2", "E8"])
+def test_element_api_rejects_basis_index_out_of_range(name):
+    """-1 would wrap to the last row or slot and dim would overrun it; both
+    are IndexOutOfRange in either position of every element operation."""
+    sc = _sc(name)
+    good = sc.dim - 1
+    for bad in (-1, sc.dim):
+        for u, v in (({bad: 1}, {good: 1}), ({good: 1}, {bad: 1})):
+            message = re.escape(f"{{{bad}}} outside 0..{good}")
+            for op in (sc.bracket, sc.killing):
+                with pytest.raises(IndexOutOfRange, match=message):
+                    op(u, v)
+            with pytest.raises(IndexOutOfRange):
+                sc.basis_bracket(*u, *v)
+        with pytest.raises(IndexOutOfRange):
+            adjoint_matrix(sc, {bad: 1})
+    # the edges of the range are accepted: e_good is x^-a for the last root a
+    npos = len(sc.rs.positive_roots)
+    assert sc.basis_bracket(0, good) == sc.ad[0][good]
+    assert sc.killing({good: 1}, {good - npos: 1}) > 0
 
 
 def test_rational_form_b3_is_so43():
@@ -590,7 +646,7 @@ def test_g2_seven_dim_rep_rejects_corrupted_table(monkeypatch, a, b):
     is no Lie algebra, and the build's bracket check must say so.  ``a`` is
     a Cartan index or a root."""
     sc = copy.copy(_sc("G2"))
-    sc.ad = [dict(row) for row in sc.ad]
+    sc.ad = [list(row) for row in sc.ad]
     ia = a if isinstance(a, int) else sc.root_index[a]
     ib = sc.root_index[b]
     sc.ad[ia][ib] = tuple((k, -c) for k, c in sc.ad[ia][ib])
