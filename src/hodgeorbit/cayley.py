@@ -165,40 +165,25 @@ def search_sos(rs: RootSystem, E) -> SosSearchResult:
 def real_rank(rs: RootSystem, E) -> int:
     """Maximum size of a pairwise strongly orthogonal subset of Delta_n.
 
-    Restricting to positive noncompact roots is harmless (a sign flip keeps
-    strong orthogonality); orthogonal roots are linearly independent, so no
-    set has more than ``rs.rank`` members.  A greedy pass, highest root first,
-    that reaches ``rs.rank`` is therefore a certificate; otherwise a
-    branch-and-bound clique search, started from the greedy size, decides.
+    That size is the real rank of the real form whose compact roots have beta(E)
+    even.  From the compact Cartan subalgebra, where every root is imaginary, each
+    Cayley transform c_beta along a noncompact imaginary root adds one dimension to
+    the split part.  A theta-stable Cartan subalgebra with no noncompact imaginary
+    root left is maximally noncompact (Kostant 1955; Sugiura, J. Math. Soc. Japan
+    11, 1959; Knapp, Lie Groups Beyond an Introduction, VI.7), so the count of
+    transforms is the real rank, whichever beta is taken.  After c_beta the
+    imaginary roots are those orthogonal to beta (a positive root stands for its
+    +- pair).  Such an alpha keeps its type when alpha +- beta are not roots, as
+    ad x^{+-beta} kills x^alpha, and flips it otherwise; the sum decides both.
     """
-    verts = [b for b, v in zip(rs.positive_roots, root_values(rs, E)) if v % 2]
-    kept = []  # (root, S-coordinates of its coroot)
-    for b in reversed(verts):
-        if all(not sum(map(mul, b, h)) and not rs.is_root(map(add, b, k)) for k, h in kept):
-            kept.append((b, rs.coroot_s_coords(b)))
-    best = len(kept)
-    if best == rs.rank:
-        return best
-    n = len(verts)
-    adj = _so_graph(rs, verts)
-    # order by descending degree for better pruning
-    order = sorted(range(n), key=lambda i: -bin(adj[i]).count("1"))
-    radj = [sum(1 << j for j, v in enumerate(order) if adj[u] >> v & 1) for u in order]
-
-    def expand(size, pool):
-        nonlocal best
-        if pool == 0:
-            best = max(best, size)
-            return
-        while pool and best < rs.rank:
-            if size + bin(pool).count("1") <= best:
-                return
-            v = (pool & -pool).bit_length() - 1
-            pool &= ~(1 << v)
-            expand(size + 1, pool & radj[v])
-
-    expand(0, (1 << n) - 1)
-    return best
+    odd = {a: v % 2 for a, v in zip(rs.positive_roots, root_values(rs, E))}
+    steps = 0
+    while beta := next((a for a, n in odd.items() if n), None):
+        h = rs.coroot_s_coords(beta)
+        odd = {a: n ^ rs.is_root(map(add, a, beta))
+               for a, n in odd.items() if not sum(map(mul, a, h))}
+        steps += 1
+    return steps
 
 
 # -- bigradings and diamonds ------------------------------------------------

@@ -400,6 +400,7 @@ def _check_block(sc: StructureConstants, parity: dict, e: int, w: dict, block: i
 def theta(sc: StructureConstants, T, vec: dict) -> dict:
     """Cartan involution: +1 on k, -1 on k^perp; on root vectors
     theta(x^alpha) = (-1)^{alpha(T)} x^alpha."""
+    sc._check_basis_indices(vec)
     r = sc.rs.rank
     return {k: -c if k >= r and evaluate(sc.basis_roots[k - r], T) % 2 else c
             for k, c in vec.items()}
@@ -597,6 +598,7 @@ def g2_seven_dim_rep() -> dict:
 
 def g2_rep_matrix(element: dict):
     """Matrix of a g2 element (Chevalley coordinates) on V7."""
+    _g2()[1]._check_basis_indices(element)
     mats = g2_seven_dim_rep()
     out = [[Fraction(0)] * 7 for _ in range(7)]
     for k, c in element.items():

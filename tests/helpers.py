@@ -17,7 +17,8 @@ the per-set path: one diamond for every strongly orthogonal set.  Strong
 orthogonality is tested on all three conditions of its definition, where the
 library tests the form and the sum only.  The strongly orthogonal sets are
 enumerated by plain recursion over that test, and the real rank is the clique
-search over it with no bound on its size.
+search over it with no bound on its size, where the library counts Cayley
+transforms; on the classical types it is also read off Knapp's closed forms.
 The Freudenthal recursion is also kept in its walk-down form, over every
 weight below the highest, where the library runs it on dominant weights.  The
 Chevalley bracket table is rebuilt with tuple keys from the root data, and
@@ -552,8 +553,8 @@ def sos_sets_by_three_tests(rs: RootSystem, E):
 
 def real_rank_unbounded(rs: RootSystem, E):
     """The largest pairwise strongly orthogonal set of positive roots with
-    beta(E) odd, by a clique search that runs until its pool is exhausted,
-    where the library stops once a set reaches the rank."""
+    beta(E) odd, by a branch-and-bound clique search that runs until its pool
+    is exhausted."""
     verts = [b for b in rs.positive_roots if evaluate(b, E) % 2]
     n = len(verts)
     adj = [0] * n
@@ -583,6 +584,22 @@ def real_rank_unbounded(rs: RootSystem, E):
 
     expand(0, (1 << n) - 1)
     return best
+
+
+def classical_real_rank(lie_type: LieType, node: int) -> int:
+    """Real rank of the real form of a classical g whose compact roots have
+    even S^node-value (Knapp, Lie Groups Beyond an Introduction, App. C)."""
+    n, k = lie_type.rank, node
+    if lie_type.family == "A":  # su(k, n + 1 - k)
+        return min(k, n + 1 - k)
+    if lie_type.family == "B":  # so(2k, 2n - 2k + 1)
+        return min(2 * k, 2 * n - 2 * k + 1)
+    if lie_type.family == "C":  # sp(k, n - k), and sp(n, R) at node n
+        return n if k == n else min(k, n - k)
+    assert lie_type.family == "D", lie_type
+    if k >= n - 1:  # so*(2n) at the two spin nodes
+        return n // 2
+    return min(2 * k, 2 * n - 2 * k)  # so(2k, 2n - 2k)
 
 
 def _negate(v):

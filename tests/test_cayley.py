@@ -5,6 +5,7 @@ import pytest
 from helpers import (
     bigrading_by_roots,
     census_by_sets,
+    classical_real_rank,
     lie_types_up_to,
     real_rank_unbounded,
     sos_sets_by_three_tests,
@@ -32,7 +33,7 @@ from hodgeorbit.cayley import (
 from hodgeorbit.errors import IndexOutOfRange, InvalidSOS, NotFundamentalAdjoint
 from hodgeorbit.grading import evaluate, grading_element_for, is_fundamental_adjoint
 from hodgeorbit.reps import fundamental_weights, weight_from_root
-from hodgeorbit.rootdata import build_root_system, conjugate_root, root_system
+from hodgeorbit.rootdata import LieType, build_root_system, conjugate_root, root_system
 
 # Table rows: (c, mu) classes of the boundary census per type
 CENSUS_EXPECTED = {
@@ -146,10 +147,10 @@ def test_real_rank_matches_unbounded_search():
 
 
 def test_real_rank_matches_unbounded_search_on_every_grading():
-    # every E in {0,1}^r \ {0}: the rank certificate where the greedy set
-    # reaches the rank, the clique search where it does not
+    # every E in {0,1}^r \ {0}; some real ranks must fall below the rank,
+    # where the Cayley transforms stop before the Cartan subalgebra is split
     fallbacks = 0
-    for lie_type in lie_types_up_to(5):
+    for lie_type in lie_types_up_to(6):
         rs = build_root_system(lie_type)
         for E in itertools.product((0, 1), repeat=rs.rank):
             if any(E):
@@ -157,6 +158,17 @@ def test_real_rank_matches_unbounded_search_on_every_grading():
                 assert real_rank(rs, E) == want, (lie_type, E)
                 fallbacks += want < rs.rank
     assert fallbacks > 0
+
+
+def test_real_rank_matches_classical_closed_forms():
+    # every node of A/B/C/D_n; B15 at node 7 (so(14, 17)) is among them
+    for n in (9, 15, 16, 24):
+        for family in "ABCD":
+            rs = build_root_system(LieType(family, n))
+            for node in range(1, n + 1):
+                E = grading_element_for(rs, {node})
+                want = classical_real_rank(rs.lie_type, node)
+                assert real_rank(rs, E) == want, (rs.lie_type, node)
 
 
 def _three_test_graph(rs, roots):
@@ -177,7 +189,8 @@ def _assert_so_graph_matches_three_tests(rs, node):
 
 
 def test_so_graph_matches_three_test_oracle():
-    # the candidates of iter_sos and the vertices of real_rank, on every node
+    # the candidates of iter_sos, and the odd roots as a second vertex set,
+    # on every node
     for lie_type in lie_types_up_to(8):
         rs = build_root_system(lie_type)
         for node in range(1, rs.rank + 1):
@@ -186,12 +199,6 @@ def test_so_graph_matches_three_test_oracle():
 
 def test_so_graph_matches_three_test_oracle_d48():
     _assert_so_graph_matches_three_tests(root_system("D48"), 2)
-
-
-def test_real_rank_stops_at_the_rank():
-    # 128 noncompact positive roots; the unbounded search takes tens of seconds
-    rs = root_system("D16")
-    assert real_rank(rs, grading_element_for(rs, {8})) == 16
 
 
 def test_remark_sets_validate():

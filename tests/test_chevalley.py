@@ -546,6 +546,11 @@ def test_element_api_rejects_basis_index_out_of_range(name):
                 sc.basis_bracket(*u, *v)
         with pytest.raises(IndexOutOfRange):
             adjoint_matrix(sc, {bad: 1})
+        with pytest.raises(IndexOutOfRange, match=message):
+            theta(sc, (0,) * (sc.rs.rank - 1) + (1,), {bad: 1})
+        if name == "G2":
+            with pytest.raises(IndexOutOfRange, match=message):
+                g2_rep_matrix({bad: 1})
     # the edges of the range are accepted: e_good is x^-a for the last root a
     npos = len(sc.rs.positive_roots)
     assert sc.basis_bracket(0, good) == sc.ad[0][good]

@@ -92,6 +92,32 @@ dimension_cap() {
   cmp golden/intro_hodge_numbers.tsv "$out/intro_hodge_numbers.tsv"
 }
 
+real_rank_at_rank_64() {
+  # cayley.real_rank against the classical real ranks at eight nodes of
+  # A64, B64, C64 and D64; tier-1 checks every node up to rank 24
+  timeout 60 python - <<'PY'
+import sys
+import time
+
+sys.path.insert(0, "tests")
+from helpers import classical_real_rank
+
+from hodgeorbit.cayley import real_rank
+from hodgeorbit.grading import grading_element_for
+from hodgeorbit.rootdata import root_system
+
+for family in "ABCD":
+    rs = root_system(f"{family}64")
+    for node in (1, 2, 31, 32, 33, 62, 63, 64):
+        start = time.perf_counter()
+        got = real_rank(rs, grading_element_for(rs, {node}))
+        want = classical_real_rank(rs.lie_type, node)
+        print(f"{rs.lie_type} node {node}: {got} in {time.perf_counter() - start:.2f} s")
+        if got != want:
+            sys.exit(f"FAIL: expected real rank {want}")
+PY
+}
+
 tier1_tests() {
   PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -m pytest -q --continue-on-collection-errors --durations=15
 }
@@ -142,6 +168,7 @@ step "Tables, the E8 census and the D64 listing do not depend on the hash seed" 
 step "Bad input exits with its code and without a traceback" bad_input_exit_codes
 step "A long --sos is refused at once by the rank bound" long_sos_refused
 step "Dimension cap on tables, existing files left alone" dimension_cap
+step "Real rank at rank 64 against closed forms" real_rank_at_rank_64
 step "Tier-1 tests" tier1_tests
 step "Benchmark self-test" benchmark_selftest
 step "Census reference digests" census_reference_digests
