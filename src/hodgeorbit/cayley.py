@@ -20,17 +20,13 @@ from functools import cache
 from itertools import permutations
 from operator import add, mul
 
-from .errors import (
-    InvalidSOS,
-    LengthMismatch,
-    NotFundamentalAdjoint,
-)
+from .errors import InvalidSOS, LengthMismatch
 from .grading import (
     _check_index_set,
+    _require_fundamental_adjoint,
     eigen_dims,
     evaluate,
     grading_element_for,
-    is_fundamental_adjoint,
     parabolic,
     root_values,
 )
@@ -321,11 +317,6 @@ def codim_one_uniqueness_check(rs: RootSystem, i: int) -> bool:
 # -- adjoint weight grading and the Weyl flip ---------------------------------
 
 
-def _require_fundamental_adjoint(rs: RootSystem, i: int):
-    if not is_fundamental_adjoint(rs, {i}):
-        raise NotFundamentalAdjoint(f"({rs.lie_type}, {{{i}}}) is not fundamental adjoint")
-
-
 def weight_grading_dims(rs: RootSystem, i: int) -> dict:
     """Eigenspace dimensions of H^{alpha_i}; checks dim g_l = dim g^{-l}
     and the S-coordinate expression H^{alpha_i} = sum_j A_{ji} S^j."""
@@ -345,32 +336,31 @@ def weight_grading_dims(rs: RootSystem, i: int) -> dict:
 def weyl_flip(rs: RootSystem, i: int) -> tuple:
     """A word (j_1, .., j_m) of simple reflections with w(-alpha_i) = highest root.
 
-    Applying r_{j_1} first.  The induced action maps the H^{alpha_i}-eigenvalue
-    l root set onto the S^i-eigenvalue -l root set, which is verified.
+    Applying r_{j_1} first.  The word climbs: while some <v, alpha_j^vee> = p
+    is negative, v becomes s_j v = v - p alpha_j for the lowest such j.  From
+    -alpha_i that is s_i; each later step raises the height of the root v and
+    keeps its length, so the climb ends at the one dominant root of the length
+    of alpha_i, the highest root when alpha_i is long (Bourbaki VI.1.8).  The
+    induced action maps the H^{alpha_i}-eigenvalue l root set onto the
+    S^i-eigenvalue -l root set, which is verified.
     """
     _check_index_set(rs, {i})
     alpha_i = rs.simple_roots[i - 1]
     if rs.root_length(alpha_i) != rs.root_length(rs.highest_root):
         raise LengthMismatch(f"alpha_{i} and the highest root have different lengths")
-    start = tuple(-c for c in alpha_i)
-    target = rs.highest_root
-    parent = rs.weyl_orbit([start])
-    if target not in parent:
-        raise LengthMismatch("no Weyl word found")  # unreachable for equal lengths
-    word = []  # 0-based nodes, last reflection first
-    node = target
-    while parent[node] is not None:
-        node, j = parent[node]
-        word.append(j)
-    word.reverse()
+    word = []  # 0-based nodes, first reflection first
+    v = tuple(-c for c in alpha_i)
+    while down := [j for j, p in enumerate(rs.pairings(v)) if p < 0]:
+        v = rs.simple_reflection(v, down[0])
+        word.append(down[0])
+    if v != rs.highest_root:
+        raise AssertionError("the climb from -alpha_i ends below the highest root")
 
     def apply_word(alpha):
         for j in word:
             alpha = rs.simple_reflection(alpha, j)
         return alpha
 
-    if apply_word(start) != target:
-        raise AssertionError("Weyl word does not map -alpha_i to the highest root")
     # w(H^{alpha_i}) = H^{-highest} = -H^{highest}, so the H^{alpha_i}-grading
     # flips to the negated H^{highest}-grading; for fundamental adjoints
     # H^{highest} = S^i, turning this into the S^i-eigenvalue statement

@@ -42,9 +42,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
 
-from .cayley import _require_fundamental_adjoint
 from .errors import CompactRoot, IndexOutOfRange, NotDegreeOne
-from .grading import _check_index_set, evaluate, root_values
+from .grading import _check_index_set, _require_fundamental_adjoint, evaluate, root_values
 from .rootdata import LieType, RootSystem, _exact_quotient, build_root_system
 
 # -- Gaussian rationals -------------------------------------------------------

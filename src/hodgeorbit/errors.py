@@ -23,8 +23,10 @@ class NotStronglyOrthogonal(HodgeOrbitError):
 
 class IndexOutOfRange(HodgeOrbitError):
     """A Dynkin node outside 1..rank or an empty node set (``grading``), a
-    coordinate vector whose length is not the rank (``RootSystem.check_length``)
-    or a basis index outside 0..dim-1 (``StructureConstants``)."""
+    grading element E with some w_j(E) <= 0 where E must be a sum of S^i
+    (``reps.weights_with_E_value_one``), a coordinate vector whose length is
+    not the rank (``RootSystem.check_length``) or a basis index outside
+    0..dim-1 (``StructureConstants``)."""
 
 
 class NotDominant(HodgeOrbitError):

@@ -7,8 +7,9 @@ positive roots goes through it: a weight lam in fundamental coordinates as
 h_j = d_j lam_j, a coroot H^b as its S-coordinates, and the boundary diamond
 as (alpha(E), alpha(Y)) with Y = sum_b H^b.  ``eigen_dims`` counts those
 values as the eigenspace dimensions of g.  ``evaluate`` is for weights and
-single vectors.  Both refuse a vector of the wrong length, and
-``_check_index_set`` is the one rule for the Dynkin nodes I of a G/P_I.
+single vectors.  Both refuse a vector of the wrong length.  The one rule for
+the Dynkin nodes I of a G/P_I is ``_check_index_set``, and for a fundamental
+adjoint node ``_require_fundamental_adjoint``.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from operator import mul
 
-from .errors import IndexOutOfRange
+from .errors import IndexOutOfRange, NotFundamentalAdjoint
 from .rootdata import RootSystem
 
 GradingElement = tuple[int, ...]
@@ -115,6 +116,11 @@ def is_fundamental_adjoint(rs: RootSystem, I) -> bool:
     if adjoint_index_set(rs) != I:
         raise AssertionError("fundamental adjoint property violated")
     return True
+
+
+def _require_fundamental_adjoint(rs: RootSystem, i: int):
+    if not is_fundamental_adjoint(rs, {i}):
+        raise NotFundamentalAdjoint(f"({rs.lie_type}, {{{i}}}) is not fundamental adjoint")
 
 
 def classify_root_compactness(rs: RootSystem, E: GradingElement):

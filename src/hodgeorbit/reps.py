@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import add, sub
 
-from .errors import DimensionCapExceeded, NotDominant
+from .errors import DimensionCapExceeded, IndexOutOfRange, NotDominant
 from .grading import evaluate, grading_element_for, root_values
 from .rootdata import RootSystem, _exact_quotient
 
@@ -125,11 +125,12 @@ def weights_with_E_value_one(rs: RootSystem, E) -> list[Weight]:
     """All dominant integral lam with lam(E) = 1, for E = sum_{i in I} S^i.
 
     Each returned lam also satisfies lam*(E) = 1, which is asserted.
+    IndexOutOfRange when some w_j(E) <= 0, as for E = 0.
     """
     fw = fundamental_weights(rs)
     values = [evaluate(w.root_coords, E) for w in fw]
     if any(v <= 0 for v in values):
-        raise AssertionError("E must be a sum of S^i over a nonempty index set")
+        raise IndexOutOfRange("E must be a sum of S^i over a nonempty index set")
     found = []
 
     def search(idx, fund, total):

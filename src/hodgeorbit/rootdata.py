@@ -12,15 +12,15 @@ The Weyl group acts through one primitive on ``RootSystem``.  The Cartan
 matrix is kept sparse, each column and each row as its nonzero entries (at
 most four), so ``pairings(v)`` costs O(rank) and ``simple_reflection(v, j)``
 O(1) when the pairing is 0, returning ``v`` itself.  ``weyl_orbit`` is the one
-breadth-first closure under simple reflections: it gives Levi orbits, Weyl
-words and weight orbits.  Each vertex carries its nonzero pairings, updated
-along an edge s_j by row j, and is reflected only where they are nonzero.
-It acts on coordinate tuples, integer roots and ``Fraction`` weights alike.
-The roots are climbed instead: a non-simple positive root beta has some
-<beta, alpha_j^vee> > 0, and s_j beta is a positive root of lower height, so
-the s_j with a negative pairing reach every positive root from the simple
-roots (Humphreys, *Introduction to Lie Algebras and Representation Theory*,
-10.2; Bourbaki VI.1.6).  No table of simple reflections as permutations of
+breadth-first closure under simple reflections: it gives Levi orbits and
+weight orbits.  Each vertex carries its nonzero pairings, updated along an
+edge s_j by row j, and is reflected only where they are nonzero.  It acts on
+coordinate tuples, integer roots and ``Fraction`` weights alike.  The roots
+are climbed instead, and so is the Weyl word of ``cayley.weyl_flip``: a
+non-simple positive root beta has some <beta, alpha_j^vee> > 0, and s_j beta
+is a positive root of lower height, so the s_j with a negative pairing reach
+every positive root from the simple roots (Humphreys, *Introduction to Lie
+Algebras and Representation Theory*, 10.2; Bourbaki VI.1.6).  No table of simple reflections as permutations of
 root indices is stored: for the ``classical_census`` benchmark workload such
 tables would take 2.4 MB (tracemalloc), 7% of its peak.  The one stored
 transpose is ``positive_columns``, the positive roots' coordinates by column
@@ -254,19 +254,18 @@ class RootSystem:
 
     def weyl_orbit(self, starts, nodes=None) -> dict:
         """Orbit of the tuples ``starts`` under s_j for j in ``nodes``
-        (0-based, default all), found breadth-first.
+        (0-based, default all), as the keys of a dict in breadth-first order,
+        each mapped to None.
 
-        Maps each vector to (parent, j) with vector = s_j(parent), and each
-        start to None, so following parents spells a word from a start.
         s_j(v) = v - p alpha_j has the pairings of v minus p times row j;
         each vertex is reflected where its pairing is nonzero, in ascending j.
         """
         keep = range(self.rank) if nodes is None else set(nodes)
         rows = [[(k, a) for k, a in row if k in keep] for row in self._rows]
-        tree = dict.fromkeys(starts)
+        orbit = dict.fromkeys(starts)
         frontier = [
             (v, {j: p for j, p in enumerate(self.pairings(v)) if p and j in keep})
-            for v in tree
+            for v in orbit
         ]
         while frontier:
             nxt = []
@@ -274,14 +273,14 @@ class RootSystem:
                 for j in sorted(pair):
                     p = pair[j]
                     w = v[:j] + (v[j] - p,) + v[j + 1:]
-                    if w not in tree:
-                        tree[w] = (v, j)
+                    if w not in orbit:
+                        orbit[w] = None
                         child = dict(pair)
                         for k, a in rows[j]:
                             child[k] = child.get(k, 0) - p * a
                         nxt.append((w, {k: x for k, x in child.items() if x}))
             frontier = nxt
-        return tree
+        return orbit
 
     def _generate(self):
         # the climb of the module docstring: s_j where the pairing p < 0 adds

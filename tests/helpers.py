@@ -5,7 +5,8 @@ reusing the library's algorithms: weight multiplicities come from the Weyl
 character formula with an explicit Kostant partition count, Weyl groups are
 enumerated as orbits of a strictly dominant vector, and roots are closed
 under simple reflections with dense pairings against the Cartan matrix.
-The orbit tree is rebuilt by trying every node on every vertex.
+The Weyl orbit is rebuilt, with a parent for each vertex, by trying every
+node on every vertex.
 The root-lattice form is the dense r x r matrix d_j A[i][j], and coroot
 pairings are 2 (beta, alpha) / (alpha, alpha) on it.  The inverse Cartan
 matrix comes from Gauss-Jordan elimination, and a weight's root coordinates
@@ -107,10 +108,11 @@ def weyl_orbit_with_signs(rs: RootSystem, start):
 
 
 def weyl_orbit_by_every_node(rs: RootSystem, starts, nodes=None):
-    """The breadth-first orbit tree {vector: (parent, j) | None} of
-    ``RootSystem.weyl_orbit``, built by applying ``rs.simple_reflection`` for
-    every node of ``nodes``, in the order given, to every vertex, where the
-    library carries each vertex's nonzero pairings along the tree."""
+    """The breadth-first orbit of ``RootSystem.weyl_orbit``, in its order, as
+    a tree {vector: (parent, j) | None} with vector = s_j(parent).  It is
+    built by applying ``rs.simple_reflection`` for every node of ``nodes``, in
+    the order given, to every vertex, where the library carries each vertex's
+    nonzero pairings along the orbit and keeps no parents."""
     nodes = range(rs.rank) if nodes is None else tuple(nodes)
     tree = dict.fromkeys(starts)
     frontier = list(tree)

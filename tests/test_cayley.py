@@ -30,7 +30,7 @@ from hodgeorbit.cayley import (
     weight_grading_dims,
     weyl_flip,
 )
-from hodgeorbit.errors import IndexOutOfRange, InvalidSOS, NotFundamentalAdjoint
+from hodgeorbit.errors import IndexOutOfRange, InvalidSOS, LengthMismatch, NotFundamentalAdjoint
 from hodgeorbit.grading import evaluate, grading_element_for, is_fundamental_adjoint
 from hodgeorbit.reps import fundamental_weights, weight_from_root
 from hodgeorbit.rootdata import LieType, build_root_system, conjugate_root, root_system
@@ -161,11 +161,14 @@ def test_real_rank_matches_unbounded_search_on_every_grading():
 
 
 def test_real_rank_matches_classical_closed_forms():
-    # every node of A/B/C/D_n; B15 at node 7 (so(14, 17)) is among them
-    for n in (9, 15, 16, 24):
+    # every node of A/B/C/D_n for n <= 24, B15 at node 7 (so(14, 17)) among
+    # them, and the ends, the middle and the spin nodes at n = 64
+    cases = [(n, range(1, n + 1)) for n in (9, 15, 16, 24)]
+    cases.append((64, (1, 2, 31, 32, 33, 62, 63, 64)))
+    for n, nodes in cases:
         for family in "ABCD":
             rs = build_root_system(LieType(family, n))
-            for node in range(1, n + 1):
+            for node in nodes:
                 E = grading_element_for(rs, {node})
                 want = classical_real_rank(rs.lie_type, node)
                 assert real_rank(rs, E) == want, (rs.lie_type, node)
@@ -336,12 +339,37 @@ def test_coroot_s_coordinates_table5():
         assert rs.coroot_s_coords(alpha_i) == coords
 
 
+def _flip_cases():
+    """(root system, node) for every node of the length of the highest root,
+    on every type up to rank 8 and on B24, and at both ends, the adjoint
+    node and the middle of D64 (all 64 nodes take about 40 s; node 63
+    is node 64 under the diagram flip)."""
+    for lie_type in lie_types_up_to(8) + [LieType("B", 24)]:
+        rs = build_root_system(lie_type)
+        for i in range(1, rs.rank + 1):
+            if rs.lengths[i - 1] == rs.root_length(rs.highest_root):
+                yield rs, i
+    d64 = build_root_system(LieType("D", 64))
+    yield from ((d64, i) for i in (1, 2, 32, 64))
+
+
 def test_weyl_flip():
-    a1 = root_system("A1")
-    assert weyl_flip(a1, 1) == (1,)
-    for name, i in [("G2", 2), ("B3", 2), ("E6", 2), ("F4", 1)]:
-        word = weyl_flip(root_system(name), i)  # verifies itself
-        assert len(word) >= 1
+    assert weyl_flip(root_system("A1"), 1) == (1,)
+    for rs, i in _flip_cases():
+        word = weyl_flip(rs, i)  # verifies itself
+        v = tuple(-int(k == i - 1) for k in range(rs.rank))
+        for j in word:  # s_j against the dense Cartan matrix
+            pair = sum(v[t] * rs.cartan[t][j - 1] for t in range(rs.rank))
+            v = tuple(c - pair * (k == j - 1) for k, c in enumerate(v))
+        assert v == rs.highest_root, (rs.lie_type, i)
+        if rs.lie_type.family in "ADE":  # each step adds one simple root
+            assert len(word) == sum(rs.highest_root), (rs.lie_type, i)
+
+
+@pytest.mark.parametrize("name, node", [("B3", 3), ("C3", 1), ("G2", 1)])
+def test_weyl_flip_refuses_a_short_node(name, node):
+    with pytest.raises(LengthMismatch, match=f"alpha_{node} and the highest root"):
+        weyl_flip(root_system(name), node)
 
 
 @pytest.mark.parametrize("node", [0, -1, 5])

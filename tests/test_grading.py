@@ -91,6 +91,7 @@ def test_is_fundamental_adjoint():
     assert not is_fundamental_adjoint(root_system("C3"), {1})  # 2 w_1
     assert not is_fundamental_adjoint(root_system("B3"), {1})
     assert not is_fundamental_adjoint(root_system("A3"), {1})
+    assert not is_fundamental_adjoint(root_system("D4"), {1, 2})  # two nodes
     for name, i in FUNDAMENTAL_ADJOINTS:
         assert is_fundamental_adjoint(root_system(name), {i})
 

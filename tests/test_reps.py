@@ -15,7 +15,7 @@ from helpers import (
     weyl_orbit_with_signs,
 )
 from hodgeorbit.cayley import real_rank
-from hodgeorbit.errors import DimensionCapExceeded, NotDominant
+from hodgeorbit.errors import DimensionCapExceeded, IndexOutOfRange, NotDominant
 from hodgeorbit.grading import grading_element_for, parabolic
 from hodgeorbit.reps import (
     dual_weight,
@@ -290,6 +290,13 @@ def test_weights_with_E_value_one_lemma_lists():
         E = grading_element_for(rs, set(I))
         got = sorted(tuple(int(c) for c in w.fund_coords) for w in weights_with_E_value_one(rs, E))
         assert got == sorted(expected), name
+
+
+@pytest.mark.parametrize("E", [(0, 0, 0), (1, -1, 0)])
+def test_weights_with_E_value_one_refuses_E_off_the_node_sums(E):
+    # user input, so a HodgeOrbitError and not a bare AssertionError
+    with pytest.raises(IndexOutOfRange, match="nonempty index set"):
+        weights_with_E_value_one(root_system("B3"), E)
 
 
 def test_embedding_degrees_table2():

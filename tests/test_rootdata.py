@@ -288,21 +288,18 @@ def test_weyl_orbit_of_rho_is_the_weyl_group(name, order):
     # rho has Fraction coordinates in types B, C, D and F
     rs = root_system(name)
     start = rho(rs).root_coords
-    tree = rs.weyl_orbit([start])
-    assert len(tree) == order
-    assert tree.keys() == weyl_orbit_with_signs(rs, start).keys()
-    assert tree[start] is None
-    for vec, step in tree.items():
-        if step is not None:
-            parent, j = step
-            assert rs.simple_reflection(parent, j) == vec
+    orbit = rs.weyl_orbit([start])
+    assert len(orbit) == order
+    assert orbit.keys() == weyl_orbit_with_signs(rs, start).keys()
+    assert list(orbit) == list(weyl_orbit_by_every_node(rs, [start]))
+    assert set(orbit.values()) == {None}
 
 
 def test_weyl_orbit_on_levi_nodes():
     # without node 2, alpha_2 moves through the roots with coefficient 1 there
     rs = root_system("A3")
-    tree = rs.weyl_orbit([rs.simple_roots[1]], [0, 2])
-    assert set(tree) == {b for b in rs.roots if b[1] == 1}
+    orbit = rs.weyl_orbit([rs.simple_roots[1]], [0, 2])
+    assert set(orbit) == {b for b in rs.roots if b[1] == 1}
     assert set(rs.weyl_orbit(rs.simple_roots)) == rs.roots
 
 
@@ -330,19 +327,21 @@ ORBIT_TYPES = lie_types_up_to(8) + [LieType.parse(n) for n in ("A30", "B24", "D2
 
 @pytest.mark.parametrize("lie_type", ORBIT_TYPES, ids=str)
 def test_weyl_orbit_tree_matches_every_node_oracle(lie_type):
-    # same keys, parents and insertion order, so Weyl words do not change
+    # the same vectors in the same breadth-first order as the oracle's tree
     rs = root_system(str(lie_type))
     for starts, nodes in _orbit_cases(rs):
-        tree = rs.weyl_orbit(starts, nodes)
-        assert list(tree.items()) == list(weyl_orbit_by_every_node(rs, starts, nodes).items())
+        orbit = rs.weyl_orbit(starts, nodes)
+        assert list(orbit) == list(weyl_orbit_by_every_node(rs, starts, nodes))
 
 
 @pytest.mark.parametrize("lie_type", ORBIT_TYPES + [LieType.parse("D64")], ids=str)
 def test_climb_matches_the_weyl_orbit_of_the_simple_roots(lie_type):
     # the climb takes only edges with a negative pairing; the full orbit walk
-    # must find the same roots, and hand each one the d of its start
+    # must find the same roots, and the oracle's tree hand each one the d of
+    # its start
     rs = root_system(str(lie_type))
-    tree = rs.weyl_orbit(rs.simple_roots)
+    tree = weyl_orbit_by_every_node(rs, rs.simple_roots)
+    assert list(rs.weyl_orbit(rs.simple_roots)) == list(tree)
     assert rs.roots == set(tree)
     inherited = {}
     for beta, link in tree.items():  # a parent is inserted before its child
