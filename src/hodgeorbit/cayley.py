@@ -336,40 +336,34 @@ def weight_grading_dims(rs: RootSystem, i: int) -> dict:
 def weyl_flip(rs: RootSystem, i: int) -> tuple:
     """A word (j_1, .., j_m) of simple reflections with w(-alpha_i) = highest root.
 
-    Applying r_{j_1} first.  The word climbs: while some <v, alpha_j^vee> = p
-    is negative, v becomes s_j v = v - p alpha_j for the lowest such j.  From
-    -alpha_i that is s_i; each later step raises the height of the root v and
-    keeps its length, so the climb ends at the one dominant root of the length
-    of alpha_i, the highest root when alpha_i is long (Bourbaki VI.1.8).  The
+    Applying r_{j_1} first.  The word is ``rs.climb`` from the pairings of
+    -alpha_i, minus row i of the Cartan matrix: while the least pairing p is
+    negative, v becomes s_j v = v - p alpha_j at its lowest j.  From -alpha_i
+    that is s_i; each later step raises the height of the root v and keeps
+    its length, so the climb ends at the one dominant root of the length of
+    alpha_i, the highest root when alpha_i is long (Bourbaki VI.1.8).  The
     induced action maps the H^{alpha_i}-eigenvalue l root set onto the
-    S^i-eigenvalue -l root set, which is verified.
+    S^i-eigenvalue -l root set; w is linear, so this is verified on the
+    simple roots, which span.
     """
     _check_index_set(rs, {i})
     alpha_i = rs.simple_roots[i - 1]
     if rs.root_length(alpha_i) != rs.root_length(rs.highest_root):
         raise LengthMismatch(f"alpha_{i} and the highest root have different lengths")
-    word = []  # 0-based nodes, first reflection first
-    v = tuple(-c for c in alpha_i)
-    while down := [j for j, p in enumerate(rs.pairings(v)) if p < 0]:
-        v = rs.simple_reflection(v, down[0])
-        word.append(down[0])
-    if v != rs.highest_root:
+    top, word = rs.climb([-a for a in rs.cartan[i - 1]])
+    if top != rs.pairings(rs.highest_root):
         raise AssertionError("the climb from -alpha_i ends below the highest root")
-
-    def apply_word(alpha):
-        for j in word:
-            alpha = rs.simple_reflection(alpha, j)
-        return alpha
 
     # w(H^{alpha_i}) = H^{-highest} = -H^{highest}, so the H^{alpha_i}-grading
     # flips to the negated H^{highest}-grading; for fundamental adjoints
     # H^{highest} = S^i, turning this into the S^i-eigenvalue statement
     h = rs.coroot_s_coords(alpha_i)
     h_tilde = rs.coroot_s_coords(rs.highest_root)
-    for beta, ell in zip(rs.positive_roots, root_values(rs, h)):
-        for alpha, val in ((beta, ell), (tuple(-c for c in beta), -ell)):
-            if evaluate(apply_word(alpha), h_tilde) != -val:
-                raise AssertionError("flip does not negate the grading")
+    for alpha, ell in zip(rs.simple_roots, h):
+        for j in word:
+            alpha = rs.simple_reflection(alpha, j)
+        if evaluate(alpha, h_tilde) != -ell:
+            raise AssertionError("flip does not negate the grading")
     return tuple(j + 1 for j in word)
 
 
@@ -502,6 +496,8 @@ def _levi_classes(rs: RootSystem, i: int, cand, compat):
     def reflect(j, k):  # a Levi reflection keeps E, so it permutes the candidates
         return index[rs.simple_reflection(cand[k], j)]
 
+    # a climb of its own, not ``rs.climb``: it moves candidate indices under
+    # the bitmask J, memoized, where ``rs.climb`` moves pairing vectors
     @cache
     def move(J, k, x):
         """x under the w in W_J that takes k into the J-dominant chamber."""

@@ -7,9 +7,9 @@ d o lam gives every pairing at once.  The Weyl dimension formula and the
 degree product are products of two such rows with one exact division at the
 end.  The Freudenthal recursion runs over the dominant weights below lam only
 (Moody-Patera), found by subtracting positive roots.  It reads
-m(mu + k alpha) at the dominant conjugate, reached by integer simple
-reflections on fundamental coordinates, and ends each root string at its
-first zero, since strings have no gaps.  Each dominant weight is then
+m(mu + k alpha) at the dominant conjugate, reached by ``RootSystem.climb``
+on fundamental coordinates, and ends each root string at its first zero,
+since strings have no gaps.  Each dominant weight is then
 expanded to its Weyl orbit, and the total is checked against the Weyl
 dimension formula on every call.  ``Fraction`` stays only where values need
 not be integers: in the public ``Weight`` coordinates, above all
@@ -90,27 +90,20 @@ def rho(rs: RootSystem) -> Weight:
 def dual_weight(rs: RootSystem, lam: Weight) -> Weight:
     """Highest weight of the dual representation: -w_0(lam), the dominant
     conjugate of -lam."""
-    _check_dominant_integral(lam)
-    return weight_from_fund(rs, _dominant(rs, tuple(-int(c) for c in lam.fund_coords)))
+    _check_dominant_integral(rs, lam)
+    return weight_from_fund(rs, rs.climb([-int(c) for c in lam.fund_coords])[0])
 
 
-def _dominant(rs: RootSystem, fund: tuple) -> tuple:
-    """Dominant W-conjugate of integer fundamental coordinates: while some c = fund[j]
-    is negative, s_j subtracts c times row j of the Cartan matrix (alpha_j)."""
-    while (c := min(fund)) < 0:
-        row = rs.cartan[fund.index(c)]
-        fund = tuple(x - c * a for x, a in zip(fund, row))
-    return fund
-
-
-def _check_dominant_integral(lam: Weight):
+def _check_dominant_integral(rs: RootSystem, lam: Weight):
+    """IndexOutOfRange for a weight of another rank, else NotDominant unless dominant integral."""
+    rs.check_length(lam.fund_coords)
     if not (lam.is_dominant and lam.is_integral):
         raise NotDominant(f"{lam.fund_coords} is not dominant integral")
 
 
 def weyl_dimension(rs: RootSystem, lam: Weight) -> int:
     """dim V_lam = prod_{alpha>0} (lam+rho, alpha) / (rho, alpha)."""
-    _check_dominant_integral(lam)
+    _check_dominant_integral(rs, lam)
     return _weyl_dimension(rs, [int(c) for c in lam.fund_coords])
 
 
@@ -171,7 +164,7 @@ def freudenthal_multiplicities(rs: RootSystem, lam: Weight) -> WeightMultiset:
     positive roots from ``lam``; each is then expanded to its Weyl orbit.
     The grand total is checked against ``weyl_dimension`` before returning.
     """
-    _check_dominant_integral(lam)
+    _check_dominant_integral(rs, lam)
     cap = dimension_cap()
     dim = weyl_dimension(rs, lam)
     if dim > cap:
@@ -207,7 +200,7 @@ def freudenthal_multiplicities(rs: RootSystem, lam: Weight) -> WeightMultiset:
             nu_f, k = mu_f, 0
             while True:
                 nu_f = tuple(map(add, nu_f, alpha_f))
-                m_nu = mult.get(_dominant(rs, nu_f))
+                m_nu = mult.get(rs.climb(nu_f)[0])
                 if not m_nu:
                     break
                 k += 1
@@ -270,7 +263,7 @@ def embedding_degree_for_weight(rs: RootSystem, mu: Weight):
     The closed product formula and the Hilbert-polynomial fit are both
     evaluated; any disagreement is a hard error.
     """
-    _check_dominant_integral(mu)
+    _check_dominant_integral(rs, mu)
     n, d = _degree_by_product(rs, mu)
     d_fit = _degree_by_hilbert_fit(rs, mu, n)
     if d != d_fit:

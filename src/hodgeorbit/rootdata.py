@@ -11,26 +11,28 @@ go through the sparse Cartan columns below.
 The Weyl group acts through one primitive on ``RootSystem``.  The Cartan
 matrix is kept sparse, each column and each row as its nonzero entries (at
 most four), so ``pairings(v)`` costs O(rank) and ``simple_reflection(v, j)``
-O(1) when the pairing is 0, returning ``v`` itself.  ``weyl_orbit`` is the one
-breadth-first closure under simple reflections: it gives Levi orbits and
-weight orbits.  Each vertex carries its nonzero pairings, updated along an
-edge s_j by row j, and is reflected only where they are nonzero.  It acts on
-coordinate tuples, integer roots and ``Fraction`` weights alike.  The roots
-are climbed instead, and so is the Weyl word of ``cayley.weyl_flip``: a
-non-simple positive root beta has some <beta, alpha_j^vee> > 0, and s_j beta
-is a positive root of lower height, so the s_j with a negative pairing reach
-every positive root from the simple roots (Humphreys, *Introduction to Lie
-Algebras and Representation Theory*, 10.2; Bourbaki VI.1.6).  No table of simple reflections as permutations of
-root indices is stored: for the ``classical_census`` benchmark workload such
-tables would take 2.4 MB (tracemalloc), 7% of its peak.  The one stored
-transpose is ``positive_columns``, the positive roots' coordinates by column
-for ``grading.root_values``: 0.37 MB on B36 (``sys.getsizeof``).  It is the
+O(1) when the pairing is 0, returning ``v`` itself.  There is one loop of
+each kind.  ``_walk`` is the one breadth-first closure under simple
+reflections, on coordinate tuples, integer roots and ``Fraction`` weights
+alike: each vertex carries its nonzero pairings, updated along an edge s_j by
+row j.  It gives ``weyl_orbit`` (Levi and weight orbits) and the roots, for
+which it keeps only the s_j with a negative pairing: a non-simple positive
+root beta has some <beta, alpha_j^vee> > 0, and s_j beta is a positive root of
+lower height (Humphreys, *Introduction to Lie Algebras and Representation
+Theory*, 10.2; Bourbaki VI.1.6).  ``climb`` is the one walk to the dominant
+chamber, by s_j at the least negative pairing, and gives its word: it serves
+Freudenthal's dominant conjugates, the dual weight and ``cayley.weyl_flip``.
+No table of simple reflections as permutations of root indices is stored:
+for the ``classical_census`` benchmark workload such tables would take
+2.4 MB (tracemalloc), 7% of its peak.  The one stored transpose is
+``positive_columns``, the positive roots' coordinates by column for
+``grading.root_values``: 0.37 MB on B36 (``sys.getsizeof``).  It is the
 one copy of the roots that anything pairs with all of them: a weight lam in
 fundamental coordinates pairs as (lam, alpha) = alpha(h) with h_j = d_j lam_j,
 and a coroot H^b as its S-coordinates ``coroot_s_coords``.  The columns' Gram
 matrix also gives ``inverse_cartan`` without elimination.
 
-W preserves length, so the climb gives each positive root the d_j of the
+W preserves length, so the walk gives each positive root the d_j of the
 simple root it came from, and each negative root its negation's: ``roots`` is
 the key view of that one map, and ``root_length`` a lookup.
 
@@ -216,7 +218,7 @@ def _cartan_isomorphic(a, b) -> bool:
 class RootSystem:
     """Immutable root system for one simple Lie type.
 
-    The positive roots are climbed from the simple roots, the negative
+    The positive roots are walked up from the simple roots, the negative
     roots are their negations; membership tests and root lengths go through
     one dict keyed on coords, and ``roots`` is its key view.
     Safe for concurrent shared reads once constructed.
@@ -255,53 +257,58 @@ class RootSystem:
     def weyl_orbit(self, starts, nodes=None) -> dict:
         """Orbit of the tuples ``starts`` under s_j for j in ``nodes``
         (0-based, default all), as the keys of a dict in breadth-first order,
-        each mapped to None.
+        each mapped to None."""
+        return self._walk(dict.fromkeys(starts), nodes, up=False)
 
-        s_j(v) = v - p alpha_j has the pairings of v minus p times row j;
-        each vertex is reflected where its pairing is nonzero, in ascending j.
-        """
+    def _walk(self, tree: dict, nodes, up: bool) -> dict:
+        """Breadth-first closure of the keys of ``tree`` under s_j for j in
+        ``nodes`` (None: all), a new vertex taking its parent's value; with
+        ``up`` only the s_j with a negative pairing are edges.  s_j(v) has
+        the pairings of v minus p times row j; edges go in ascending j."""
         keep = range(self.rank) if nodes is None else set(nodes)
         rows = [[(k, a) for k, a in row if k in keep] for row in self._rows]
-        orbit = dict.fromkeys(starts)
         frontier = [
-            (v, {j: p for j, p in enumerate(self.pairings(v)) if p and j in keep})
-            for v in orbit
+            (v, {j: p for j, p in enumerate(self.pairings(v)) if p and j in keep}, x)
+            for v, x in tree.items()
         ]
         while frontier:
             nxt = []
-            for v, pair in frontier:
+            for v, pair, x in frontier:
                 for j in sorted(pair):
                     p = pair[j]
-                    w = v[:j] + (v[j] - p,) + v[j + 1:]
-                    if w not in orbit:
-                        orbit[w] = None
-                        child = dict(pair)
-                        for k, a in rows[j]:
-                            child[k] = child.get(k, 0) - p * a
-                        nxt.append((w, {k: x for k, x in child.items() if x}))
-            frontier = nxt
-        return orbit
-
-    def _generate(self):
-        # the climb of the module docstring: s_j where the pairing p < 0 adds
-        # -p alpha_j.  W preserves length: a start alpha_j has d_j, a child its
-        # parent's d, and a negative root its negation's
-        r, rows = self.rank, self._rows
-        tree = dict(zip(self.simple_roots, self.lengths))
-        frontier = [(v, dict(row), tree[v]) for v, row in zip(self.simple_roots, rows)]
-        while frontier:
-            nxt = []
-            for v, pair, d in frontier:
-                for j in sorted(j for j, p in pair.items() if p < 0):
-                    p = pair[j]
+                    if p > 0 and up:
+                        continue
                     w = v[:j] + (v[j] - p,) + v[j + 1:]
                     if w not in tree:
-                        tree[w] = d
+                        tree[w] = x
                         child = dict(pair)
                         for k, a in rows[j]:
                             child[k] = child.get(k, 0) - p * a
-                        nxt.append((w, {k: x for k, x in child.items() if x}, d))
+                        nxt.append((w, {k: c for k, c in child.items() if c}, x))
             frontier = nxt
+        return tree
+
+    def climb(self, fund) -> tuple[tuple, tuple[int, ...]]:
+        """(dominant, word): the dominant W-conjugate of the integer pairings
+        ``fund``, and the 0-based word, first letter first, that reaches it.
+
+        While the least pairing c is negative, s_j at its lowest j subtracts
+        c times row j of the Cartan matrix, the pairings of alpha_j.
+        """
+        self.check_length(fund)
+        fund, word = tuple(fund), []
+        while (c := min(fund)) < 0:
+            j = fund.index(c)
+            fund = tuple(x - c * a for x, a in zip(fund, self.cartan[j]))
+            word.append(j)
+        return fund, tuple(word)
+
+    def _generate(self):
+        # the walk up of the module docstring: s_j where the pairing p < 0
+        # adds -p alpha_j.  W preserves length: a start alpha_j has d_j, a
+        # child its parent's d, and a negative root its negation's
+        r = self.rank
+        tree = self._walk(dict(zip(self.simple_roots, self.lengths)), None, up=True)
         positives = sorted(tree, key=lambda beta: (sum(beta), beta))
         tree.update({tuple([-c for c in beta]): d for beta, d in tree.items()})
         self._root_lengths = tree
@@ -368,7 +375,7 @@ class RootSystem:
         )
 
     def root_length(self, alpha) -> int:
-        """d_alpha with (alpha, alpha) = 2 d_alpha, as the climb recorded it."""
+        """d_alpha with (alpha, alpha) = 2 d_alpha, as the walk recorded it."""
         return self._root_lengths[self.check_root(alpha)]
 
     def coroot(self, alpha) -> Coords:

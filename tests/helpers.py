@@ -6,7 +6,10 @@ character formula with an explicit Kostant partition count, Weyl groups are
 enumerated as orbits of a strictly dominant vector, and roots are closed
 under simple reflections with dense pairings against the Cartan matrix.
 The Weyl orbit is rebuilt, with a parent for each vertex, by trying every
-node on every vertex.
+node on every vertex, and a Weyl word is replayed one letter at a time, each
+pairing taken against a whole dense Cartan column.  To replay a word on every
+root, each s_j is taken that way once per root and then read as a
+permutation of the roots.
 The root-lattice form is the dense r x r matrix d_j A[i][j], and coroot
 pairings are 2 (beta, alpha) / (alpha, alpha) on it.  The inverse Cartan
 matrix comes from Gauss-Jordan elimination, and a weight's root coordinates
@@ -128,6 +131,33 @@ def weyl_orbit_by_every_node(rs: RootSystem, starts, nodes=None):
     return tree
 
 
+def apply_word_dense(rs: RootSystem, word, v):
+    """s_{j_m} .. s_{j_1} v for the 0-based ``word`` (j_1, .., j_m), first
+    letter first, each pairing <v, alpha_j^vee> against dense Cartan column j."""
+    columns = list(zip(*rs.cartan))
+    for j in word:
+        pair = sum(map(mul, v, columns[j]))
+        v = tuple(c - pair * (k == j) for k, c in enumerate(v))
+    return v
+
+
+@functools.cache
+def _dense_reflection_table(rs: RootSystem):
+    """(roots, table) with roots[table[j][k]] = s_j(roots[k]) by ``apply_word_dense``."""
+    roots = list(rs.roots)
+    index = {b: k for k, b in enumerate(roots)}
+    return roots, [[index[apply_word_dense(rs, (j,), b)] for b in roots] for j in range(rs.rank)]
+
+
+def word_images_dense(rs: RootSystem, word) -> dict:
+    """{alpha: w(alpha)} on every root for the 0-based ``word``, first letter first."""
+    roots, table = _dense_reflection_table(rs)
+    images = range(len(roots))
+    for j in word:
+        images = [table[j][k] for k in images]
+    return {alpha: roots[k] for alpha, k in zip(roots, images)}
+
+
 def dense_root_closure(lie_type):
     """(roots, positive roots by (height, coords)) by dense reflection closure.
 
@@ -212,7 +242,7 @@ def freudenthal_by_walk_down(rs: RootSystem, lam: Weight) -> WeightMultiset:
     time; a candidate is kept when the recursion gives positive multiplicity.
     The grand total is checked against ``weyl_dimension`` before returning.
     """
-    _check_dominant_integral(lam)
+    _check_dominant_integral(rs, lam)
     cap = dimension_cap()
     dim = weyl_dimension(rs, lam)
     if dim > cap:

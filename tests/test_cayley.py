@@ -3,13 +3,16 @@ import random
 
 import pytest
 from helpers import (
+    apply_word_dense,
     bigrading_by_roots,
     census_by_sets,
     classical_real_rank,
+    coroot_s_coords_by_sym,
     lie_types_up_to,
     real_rank_unbounded,
     sos_sets_by_three_tests,
     strongly_orthogonal_by_three_tests,
+    word_images_dense,
 )
 
 from hodgeorbit.cayley import (
@@ -33,7 +36,13 @@ from hodgeorbit.cayley import (
 from hodgeorbit.errors import IndexOutOfRange, InvalidSOS, LengthMismatch, NotFundamentalAdjoint
 from hodgeorbit.grading import evaluate, grading_element_for, is_fundamental_adjoint
 from hodgeorbit.reps import fundamental_weights, weight_from_root
-from hodgeorbit.rootdata import LieType, build_root_system, conjugate_root, root_system
+from hodgeorbit.rootdata import (
+    LieType,
+    RootSystem,
+    build_root_system,
+    conjugate_root,
+    root_system,
+)
 
 # Table rows: (c, mu) classes of the boundary census per type
 CENSUS_EXPECTED = {
@@ -341,29 +350,49 @@ def test_coroot_s_coordinates_table5():
 
 def _flip_cases():
     """(root system, node) for every node of the length of the highest root,
-    on every type up to rank 8 and on B24, and at both ends, the adjoint
-    node and the middle of D64 (all 64 nodes take about 40 s; node 63
-    is node 64 under the diagram flip)."""
-    for lie_type in lie_types_up_to(8) + [LieType("B", 24)]:
+    on every type up to rank 8, on B24 and on D64 (its 64 weyl_flip calls
+    take about 0.3 s on 2 vCPU)."""
+    for lie_type in lie_types_up_to(8) + [LieType("B", 24), LieType("D", 64)]:
         rs = build_root_system(lie_type)
         for i in range(1, rs.rank + 1):
             if rs.lengths[i - 1] == rs.root_length(rs.highest_root):
                 yield rs, i
-    d64 = build_root_system(LieType("D", 64))
-    yield from ((d64, i) for i in (1, 2, 32, 64))
 
 
 def test_weyl_flip():
     assert weyl_flip(root_system("A1"), 1) == (1,)
     for rs, i in _flip_cases():
-        word = weyl_flip(rs, i)  # verifies itself
-        v = tuple(-int(k == i - 1) for k in range(rs.rank))
-        for j in word:  # s_j against the dense Cartan matrix
-            pair = sum(v[t] * rs.cartan[t][j - 1] for t in range(rs.rank))
-            v = tuple(c - pair * (k == j - 1) for k, c in enumerate(v))
-        assert v == rs.highest_root, (rs.lie_type, i)
+        word = [j - 1 for j in weyl_flip(rs, i)]  # verifies itself
+        alpha_i = rs.simple_roots[i - 1]
+        start = tuple(-c for c in alpha_i)
+        assert apply_word_dense(rs, word, start) == rs.highest_root, (rs.lie_type, i)
         if rs.lie_type.family in "ADE":  # each step adds one simple root
             assert len(word) == sum(rs.highest_root), (rs.lie_type, i)
+        if rs.rank > 24:
+            continue
+        # the library checks the simple roots only: check every root here,
+        # with coroots from the dense form, integral on roots
+        h = coroot_s_coords_by_sym(rs, alpha_i)
+        h_tilde = coroot_s_coords_by_sym(rs, rs.highest_root)
+        assert all(c.denominator == 1 for c in h + h_tilde)
+        h, h_tilde = [int(c) for c in h], [int(c) for c in h_tilde]
+        for alpha, image in word_images_dense(rs, word).items():
+            assert evaluate(image, h_tilde) == -evaluate(alpha, h), (rs.lie_type, i, alpha)
+
+
+def test_weyl_flip_checks_every_simple_root(monkeypatch):
+    # corrupt alpha_1(H^{alpha_2}) from 0 to 1 on a fresh E6: the check must read
+    # that coordinate, not only the one at alpha_2 itself
+    rs = RootSystem(LieType("E", 6))
+    true_coords = rs.coroot_s_coords
+
+    def corrupted(alpha):
+        coords = true_coords(alpha)
+        return (1,) + coords[1:] if alpha == rs.simple_roots[1] else coords
+
+    monkeypatch.setattr(rs, "coroot_s_coords", corrupted)
+    with pytest.raises(AssertionError, match="flip does not negate the grading"):
+        weyl_flip(rs, 2)
 
 
 @pytest.mark.parametrize("name, node", [("B3", 3), ("C3", 1), ("G2", 1)])

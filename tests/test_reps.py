@@ -115,6 +115,21 @@ def test_weyl_dimension_rejects_non_dominant():
         weyl_dimension(g2, weight_from_fund(g2, (-1, 0)))
 
 
+@pytest.mark.parametrize("call", [
+    weyl_dimension,
+    embedding_degree_for_weight,
+    dual_weight,
+    freudenthal_multiplicities,
+    lambda rs, lam: rep_hodge_numbers(rs, lam, (1, 0)),
+], ids=["weyl_dimension", "embedding_degree_for_weight", "dual_weight",
+        "freudenthal_multiplicities", "rep_hodge_numbers"])
+def test_weight_of_another_rank_is_refused(call):
+    # zip would truncate the B3 coordinates to two
+    b3_weight = weight_from_fund(root_system("B3"), (1, 0, 0))
+    with pytest.raises(IndexOutOfRange, match="3 coordinates, rank 2"):
+        call(root_system("A2"), b3_weight)
+
+
 def test_freudenthal_g2():
     g2 = root_system("G2")
     fw = fundamental_weights(g2)

@@ -1,21 +1,24 @@
 import random
 from fractions import Fraction
+from operator import mul
 
 import pytest
 from helpers import (
+    apply_word_dense,
     bilinear_by_sym,
     coroot_pairing_by_form,
     coroot_s_coords_by_sym,
     dense_root_closure,
     inverse_cartan_by_gauss_jordan,
     lie_types_up_to,
+    weight_from_fund_dense,
     weyl_orbit_by_every_node,
     weyl_orbit_with_signs,
 )
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hodgeorbit.errors import InvalidRank, NotARoot, NotStronglyOrthogonal
+from hodgeorbit.errors import IndexOutOfRange, InvalidRank, NotARoot, NotStronglyOrthogonal
 from hodgeorbit.reps import fundamental_weights, rho
 from hodgeorbit.rootdata import (
     LieType,
@@ -349,6 +352,27 @@ def test_climb_matches_the_weyl_orbit_of_the_simple_roots(lie_type):
     assert {beta: rs.root_length(beta) for beta in rs.roots} == inherited
     positive = [beta for beta in tree if sum(beta) > 0]
     assert rs.positive_roots == tuple(sorted(positive, key=lambda b: (sum(b), b)))
+
+
+@pytest.mark.parametrize("lie_type", lie_types_up_to(4), ids=str)
+def test_climb_reaches_the_dominant_element_of_the_orbit(lie_type):
+    # the orbit and the pairings come from the dense Cartan matrix
+    rs = root_system(str(lie_type))
+    r = rs.rank
+    columns = list(zip(*rs.cartan))
+    rng = random.Random(f"climb-{lie_type}")
+    for _ in range(8):
+        fund = tuple(rng.randint(-3, 3) for _ in range(r))
+        start = weight_from_fund_dense(rs, fund).root_coords
+        (dominant,) = [mu for mu in weyl_orbit_with_signs(rs, start)
+                       if all(sum(map(mul, mu, col)) >= 0 for col in columns)]
+        top, word = rs.climb(fund)
+        assert weight_from_fund_dense(rs, top).root_coords == dominant, fund
+        assert apply_word_dense(rs, word, start) == dominant, fund
+        assert rs.climb(top) == (top, ())
+    for bad in ((0,) * (r + 1), (-1,) * (r - 1)):
+        with pytest.raises(IndexOutOfRange):
+            rs.climb(bad)
 
 
 @pytest.mark.parametrize("lie_type", ORBIT_TYPES, ids=str)
