@@ -74,6 +74,8 @@ def weight_from_fund(rs: RootSystem, fund) -> Weight:
 
 
 def weight_from_root(rs: RootSystem, root) -> Weight:
+    """The weight with simple-root coordinates ``root``, any rational vector of
+    length rank, not only a root; IndexOutOfRange for another length."""
     root = tuple(Fraction(c) for c in root)
     return Weight(rs.pairings(root), root)
 

@@ -4,7 +4,9 @@ Roots are stored densely as integer coordinate vectors in the basis of simple
 roots (Bourbaki numbering).  All pairings are computed from the Cartan matrix
 ``A[i][j] = alpha_i(H^{alpha_j})`` and the half-square-lengths ``d_j`` with
 ``(alpha_j, alpha_j) = 2 d_j``; the overall scale of ``d`` is irrelevant
-because every exposed quantity is a ratio.  No dense matrix of the form is
+because every exposed quantity is a ratio.  A family gives only its Dynkin
+edges and d_j: ``(alpha_i, alpha_j) = -max(d_i, d_j)`` on an edge i - j, so
+``A[i][j] = -max(d_i, d_j) / d_j`` there.  No dense matrix of the form is
 kept: ``(x, alpha_j) = d_j <x, alpha_j^vee>``, so ``bilinear`` and coroots
 go through the sparse Cartan columns below.
 
@@ -101,53 +103,23 @@ class LieType:
 
 
 def _cartan_data(lie_type: LieType) -> tuple[tuple[Coords, ...], tuple[int, ...]]:
-    """Cartan matrix (rows = alpha_i, columns = coroots) and lengths d_j."""
+    """Cartan matrix (rows = alpha_i, columns = coroots) and lengths d_j, from
+    the Dynkin edges by A[i][j] = -max(d_i, d_j) / d_j on an edge i - j, so
+    d_j A[i][j] = d_i A[j][i] by construction (Bourbaki VI, Plates I-IX)."""
     fam, r = lie_type.family, lie_type.rank
-    A = [[2 if i == j else 0 for j in range(r)] for i in range(r)]
-
-    def bond(i, j, aij=-1, aji=-1):
-        A[i][j] = aij
-        A[j][i] = aji
-
-    if fam in "ABC":
-        for i in range(r - 2):
-            bond(i, i + 1)
-        if r >= 2:
-            if fam == "A":
-                bond(r - 2, r - 1)
-            elif fam == "B":
-                bond(r - 2, r - 1, -2, -1)  # alpha_r short
-            else:
-                bond(r - 2, r - 1, -1, -2)  # alpha_r long
-        d = {"A": [1] * r, "B": [2] * (r - 1) + [1], "C": [1] * (r - 1) + [2]}[fam]
-    elif fam == "D":
-        for i in range(r - 3):
-            bond(i, i + 1)
-        bond(r - 3, r - 2)
-        bond(r - 3, r - 1)
-        d = [1] * r
+    edges = [(i, i + 1) for i in range(r - 1)]
+    if fam == "D":
+        edges[-1] = (r - 3, r - 1)
     elif fam == "E":
         # Bourbaki: branch node 2 hangs off node 4 of the chain 1-3-4-5-...
-        chain = [1, 3, 4, 5, 6, 7, 8][: r - 1]
-        for a, b in zip(chain, chain[1:]):
-            bond(a - 1, b - 1)
-        bond(2 - 1, 4 - 1)
-        d = [1] * r
-    elif fam == "F":
-        bond(0, 1)
-        bond(1, 2, -2, -1)  # alpha_1, alpha_2 long
-        bond(2, 3)
-        d = [2, 2, 1, 1]
-    else:  # G2
-        bond(0, 1, -1, -3)  # alpha_1 short, alpha_2 long
-        d = [1, 3]
-
-    cartan = tuple(tuple(row) for row in A)
-    for i in range(r):
-        for j in range(r):
-            if d[j] * A[i][j] != d[i] * A[j][i]:
-                raise AssertionError("length data inconsistent with Cartan matrix")
-    return cartan, tuple(d)
+        edges = [(0, 2), (1, 3)] + edges[2:]
+    d = {"B": [2] * (r - 1) + [1], "C": [1] * (r - 1) + [2],
+         "F": [2, 2, 1, 1], "G": [1, 3]}.get(fam, [1] * r)
+    A = [[2 if i == j else 0 for j in range(r)] for i in range(r)]
+    for i, j in edges:
+        form = -max(d[i], d[j])  # (alpha_i, alpha_j)
+        A[i][j], A[j][i] = form // d[j], form // d[i]
+    return tuple(map(tuple, A)), tuple(d)
 
 
 def cartan_type(matrix) -> tuple[LieType, ...]:
@@ -436,8 +408,7 @@ def reflect(rs: RootSystem, alpha, beta) -> Coords:
     alpha = rs.check_root(alpha)
     beta = rs.check_root(beta)
     pair = coroot_pairing(rs, beta, alpha)
-    image = tuple(beta[k] - pair * alpha[k] for k in range(rs.rank))
-    return rs.check_root(image)
+    return tuple(beta[k] - pair * alpha[k] for k in range(rs.rank))
 
 
 def strongly_orthogonal(rs: RootSystem, alpha, beta) -> bool:
@@ -465,4 +436,4 @@ def conjugate_root(rs: RootSystem, alpha, B) -> Coords:
         pair = coroot_pairing(rs, alpha, b)
         for k in range(rs.rank):
             out[k] += pair * b[k]
-    return rs.check_root(out)
+    return tuple(out)

@@ -356,6 +356,16 @@ def test_verify_rejects_noncompact_vector_in_compact_block():
         _verify_rational_form(sc, dataclasses.replace(rf, h=h))
 
 
+def test_verify_rejects_theta_of_another_grading():
+    # the members are built for T = S^2, theta is read at S^1; alpha_1 is
+    # compact for one and noncompact for the other, so theta has the wrong
+    # sign on its block while every bracket still closes
+    sc = _sc("G2")
+    rf = rational_form(sc, (0, 1))
+    with pytest.raises(AssertionError, match="wrong sign on a block"):
+        _verify_rational_form(sc, dataclasses.replace(rf, grading_element=(1, 0)))
+
+
 def test_definite_rejects_negated_compact_gram():
     sc = _sc("B3")
     rf = rational_form(sc, (0, 1, 0))

@@ -75,6 +75,19 @@ def test_weight_from_fund_matches_dense_product(lie_type):
             assert types == [type(x) for x in getattr(want, coords)]
 
 
+def test_weight_from_root_takes_any_rational_vector():
+    # (1, 0, 1) is not a root of B3, and (1/2, 0, 0) is not integral; both
+    # are weights, and the fundamental coordinates round-trip
+    rs = root_system("B3")
+    for root in [(1, 0, 1), (Fraction(1, 2), 0, 0), rs.highest_root]:
+        w = weight_from_root(rs, root)
+        assert w.root_coords == tuple(map(Fraction, root))
+        assert weight_from_fund(rs, w.fund_coords) == w
+    assert not rs.is_root((1, 0, 1))
+    with pytest.raises(IndexOutOfRange, match="2 coordinates, rank 3"):
+        weight_from_root(rs, (1, 0))
+
+
 def test_fundamental_weight_examples():
     a1 = root_system("A1")
     assert fundamental_weights(a1)[0].root_coords == (Fraction(1, 2),)

@@ -394,6 +394,62 @@ def test_root_lengths_from_the_tree_match_the_form(lie_type):
             rs.root_length(bad)
 
 
+# -- the Cartan data against Euclidean simple roots ---------------------------
+
+
+def _unit(n, *signed):
+    """sum of c e_k over the (c, k) in ``signed``, 1-based k, in R^n."""
+    v = [0] * n
+    for c, k in signed:
+        v[k - 1] += c
+    return v
+
+
+def _euclidean_simple_roots(lie_type):
+    """Bourbaki's simple roots (Plates I-IX) in doubled coordinates, so the
+    halves of E8 and F4 stay integral."""
+    fam, r = lie_type.family, lie_type.rank
+    if fam == "A":
+        return [_unit(r + 1, (2, i), (-2, i + 1)) for i in range(1, r + 1)]
+    if fam in "BCD":
+        last = {"B": ((2, r),), "C": ((4, r),), "D": ((2, r - 1), (2, r))}[fam]
+        return [_unit(r, (2, i), (-2, i + 1)) for i in range(1, r)] + [_unit(r, *last)]
+    if fam == "E":
+        e8 = [[1, -1, -1, -1, -1, -1, -1, 1], _unit(8, (2, 1), (2, 2))]
+        e8 += [_unit(8, (2, k), (-2, k - 1)) for k in range(2, 8)]
+        return e8[:r]
+    if fam == "F":
+        return [_unit(4, (2, 2), (-2, 3)), _unit(4, (2, 3), (-2, 4)), _unit(4, (2, 4)),
+                [1, -1, -1, -1]]
+    return [_unit(3, (2, 1), (-2, 2)), _unit(3, (-4, 1), (2, 2), (2, 3))]  # G2
+
+
+def _exact(num, den):
+    q, r = divmod(num, den)
+    assert not r
+    return q
+
+
+CARTAN_ORACLE_TYPES = lie_types_up_to(8) + [
+    LieType(fam, r) for fam in "ABCD" for r in (16, 24, 64)
+]
+
+
+def test_cartan_data_matches_euclidean_realisation():
+    """A[i][j] = 2 (alpha_i, alpha_j) / (alpha_j, alpha_j) and d_j = (alpha_j,
+    alpha_j) / (short, short), from the Euclidean simple roots, not from the
+    edge rule."""
+    for lie_type in CARTAN_ORACLE_TYPES:
+        simple = _euclidean_simple_roots(lie_type)
+        gram = [[sum(map(mul, a, b)) for b in simple] for a in simple]
+        norms = [gram[j][j] for j in range(lie_type.rank)]
+        cartan = tuple(
+            tuple(_exact(2 * g, n) for g, n in zip(row, norms)) for row in gram
+        )
+        d = tuple(_exact(n, min(norms)) for n in norms)
+        assert _cartan_data(lie_type) == (cartan, d), lie_type
+
+
 # -- the Cartan classifier -----------------------------------------------------
 
 
