@@ -43,7 +43,8 @@ from fractions import Fraction
 from functools import cache, cached_property
 
 from .errors import CompactRoot, IndexOutOfRange, NotDegreeOne
-from .grading import _check_index_set, _require_fundamental_adjoint, evaluate, root_values
+from .grading import _check_index_set, _check_integral_grading, _require_fundamental_adjoint
+from .grading import evaluate, root_values
 from .rootdata import LieType, RootSystem, _exact_quotient, build_root_system
 
 # -- Gaussian rationals -------------------------------------------------------
@@ -337,6 +338,7 @@ def rational_form(sc: StructureConstants, T) -> RationalFormBasis:
     block structure, the sign of theta on each block (hence theta^2 = 1) and
     the Killing-form signature are verified by explicit computation.
     """
+    _check_integral_grading(T)
     rs = sc.rs
     h = tuple(_gr_vec({j: I_UNIT}) for j in range(rs.rank))
     u, v, parity = {}, {}, {}
@@ -399,6 +401,7 @@ def _check_block(sc: StructureConstants, parity: dict, e: int, w: dict, block: i
 def theta(sc: StructureConstants, T, vec: dict) -> dict:
     """Cartan involution: +1 on k, -1 on k^perp; on root vectors
     theta(x^alpha) = (-1)^{alpha(T)} x^alpha."""
+    _check_integral_grading(T)
     sc._check_basis_indices(vec)
     r = sc.rs.rank
     return {k: -c if k >= r and evaluate(sc.basis_roots[k - r], T) % 2 else c
@@ -490,6 +493,7 @@ def cayley_standard_triple(sc: StructureConstants, beta, T):
 
     The brackets are checked on the integral Y^{+-} = (2/i) y^{+-}:
     [H', Y^{+-}] = +-2 Y^{+-} and [Y^+, Y^-] = -4 H'."""
+    _check_integral_grading(T)
     rs = sc.rs
     beta = rs.check_root(beta)
     if evaluate(beta, T) % 2 == 0:

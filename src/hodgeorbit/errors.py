@@ -13,6 +13,10 @@ class InvalidRank(HodgeOrbitError):
     """Rank outside the bounds of the requested family."""
 
 
+class NotACartanMatrix(HodgeOrbitError):
+    """A matrix that ``rootdata.cartan_type`` cannot name as a sum of simple types."""
+
+
 class NotARoot(HodgeOrbitError):
     """Coordinate vector is not a root of the system."""
 

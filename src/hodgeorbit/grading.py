@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from operator import mul
 
-from .errors import IndexOutOfRange, NotFundamentalAdjoint
+from .errors import HodgeOrbitError, IndexOutOfRange, NotFundamentalAdjoint
 from .rootdata import RootSystem
 
 GradingElement = tuple[int, ...]
@@ -34,6 +34,12 @@ def evaluate(coords, element) -> object:
     if len(coords) != len(element):
         raise IndexOutOfRange(f"{len(coords)} coordinates against {len(element)}")
     return sum(map(mul, coords, element))
+
+
+def _check_integral_grading(T) -> None:
+    """HodgeOrbitError unless every entry of T is an integer, as beta(T) mod 2 is read."""
+    if any(int(t) != t for t in T):
+        raise HodgeOrbitError(f"grading {tuple(T)} has a non-integer entry")
 
 
 def root_values(rs: RootSystem, h) -> tuple:
@@ -86,8 +92,6 @@ def parabolic(rs: RootSystem, I) -> ParabolicData:
     dims = eigen_dims(rs, root_values(rs, E))
     zero_root_part = dims[0] - rs.rank
     flag_dim = sum(v for p, v in dims.items() if p > 0)
-    if sum(dims.values()) != rs.dimension:
-        raise AssertionError("eigenspace dimensions do not sum to dim g")
     return ParabolicData(I, E, dims, rs.rank, zero_root_part, flag_dim)
 
 
@@ -125,6 +129,7 @@ def _require_fundamental_adjoint(rs: RootSystem, i: int):
 
 def classify_root_compactness(rs: RootSystem, E: GradingElement):
     """Split the roots by parity of alpha(E): (compact, noncompact)."""
+    _check_integral_grading(E)
     compact, noncompact = [], []
     for beta, v in zip(rs.positive_roots, root_values(rs, E)):
         (noncompact if v % 2 else compact).extend((beta, tuple(-c for c in beta)))

@@ -50,7 +50,7 @@ from fractions import Fraction
 from functools import cache, cached_property
 from operator import mul
 
-from .errors import IndexOutOfRange, InvalidRank, NotARoot, NotStronglyOrthogonal
+from .errors import IndexOutOfRange, InvalidRank, NotACartanMatrix, NotARoot, NotStronglyOrthogonal
 
 Coords = tuple[int, ...]
 
@@ -127,7 +127,7 @@ def cartan_type(matrix) -> tuple[LieType, ...]:
 
     Each component is matched up to a relabelling of its nodes against the
     types of its rank in ABCDEFG order, so the coincidence B2 = C2 is
-    reported as B2.
+    reported as B2.  NotACartanMatrix when a component matches none.
     """
     unseen = set(range(len(matrix)))
     types = []
@@ -137,7 +137,7 @@ def cartan_type(matrix) -> tuple[LieType, ...]:
         while stack:
             v = stack.pop()
             comp.append(v)
-            near = {w for w in unseen if matrix[v][w]}
+            near = {w for w in unseen if matrix[v][w] or matrix[w][v]}
             unseen -= near
             stack.extend(near)
         sub = [[matrix[a][b] for b in comp] for a in comp]
@@ -150,7 +150,7 @@ def cartan_type(matrix) -> tuple[LieType, ...]:
                 types.append(cand)
                 break
         else:
-            raise AssertionError(f"unclassifiable Cartan matrix {sub}")
+            raise NotACartanMatrix(f"unclassifiable Cartan matrix {sub}")
     return tuple(sorted(types, key=str))
 
 
@@ -158,7 +158,7 @@ def _cartan_isomorphic(a, b) -> bool:
     n = len(a)
 
     def profile(m, i):
-        return tuple(sorted(m[i][j] for j in range(n) if j != i))
+        return m[i][i], tuple(sorted(m[i][j] for j in range(n) if j != i))
 
     pa = [profile(a, i) for i in range(n)]
     pb = [profile(b, i) for i in range(n)]
@@ -290,8 +290,6 @@ class RootSystem:
         if len(positives) != want:
             raise AssertionError(f"{self.lie_type}: {len(positives)} positive roots, not {want}")
         self.highest_root = theta = positives[-1]
-        if any(theta[:j] + (theta[j] + 1,) + theta[j + 1:] in tree for j in range(r)):
-            raise AssertionError("highest root is not highest")
         if self.bilinear(theta, theta) != 2 * tree[theta]:
             raise AssertionError("root lengths do not match the form")
         self.dimension = r + 2 * len(positives)
@@ -396,11 +394,7 @@ def coroot_pairing(rs: RootSystem, beta, alpha):
     """
     rs.check_length(beta)
     val = sum(map(mul, beta, rs.coroot_s_coords(alpha)))
-    if val.denominator == 1:
-        val = int(val)
-    if rs.is_root(beta) and not isinstance(val, int):
-        raise AssertionError("coroot pairing of two roots must be integral")
-    return val
+    return int(val) if val.denominator == 1 else val
 
 
 def reflect(rs: RootSystem, alpha, beta) -> Coords:

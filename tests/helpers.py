@@ -442,7 +442,7 @@ def census_by_sets(rs: RootSystem, i):
         by_diamond.setdefault(dia, []).append(B)
     entries = []
     for dia, sets in by_diamond.items():
-        _check_diamond(rs, dia)
+        _check_diamond(dia)
         entries.append(
             CensusEntry(
                 representative=sets[0],

@@ -16,6 +16,8 @@ from helpers import (
 )
 
 from hodgeorbit.cayley import (
+    HodgeDeligneDiamond,
+    _invariants_from_diamond,
     _so_graph,
     bigrading,
     boundary_census,
@@ -268,6 +270,21 @@ def test_bigrading_rejects_invalid():
         bigrading(g2, grading_element_for(g2, {2}), [(3, 2)])
 
 
+def test_bigrading_checks_hodge_symmetry(monkeypatch):
+    # subtract S^1 from H^{alpha_2} on a fresh G2: Y = sum_b H^b then puts a
+    # root at (p, q) = (-2, 4), and no root at (4, -2)
+    rs = RootSystem(LieType("G", 2))
+    true_coords = rs.coroot_s_coords
+
+    def shifted(alpha):
+        coords = true_coords(alpha)
+        return (coords[0] - 1,) + coords[1:]
+
+    monkeypatch.setattr(rs, "coroot_s_coords", shifted)
+    with pytest.raises(AssertionError, match="diamond symmetry violated"):
+        bigrading(rs, grading_element_for(rs, {2}), [(0, 1)])
+
+
 def test_conjugation_consistency_root_level():
     # (p, q) of the conjugate root is (q, p)
     from hodgeorbit.grading import evaluate
@@ -284,6 +301,17 @@ def test_conjugation_consistency_root_level():
             pb = evaluate(bar, E)
             qb = sum(evaluate(bar, h) for h in hs) - pb
             assert (pb, qb) == (q, p)
+
+
+def test_invariants_check_that_mu_is_an_integer():
+    # one more count at h^{1,2} of the G2 diamond of B = {alpha_2} makes c + k
+    # odd.  It also breaks Hodge symmetry, which bigrading checks first, so the
+    # corrupted diamond is passed in directly
+    g2 = root_system("G2")
+    d = bigrading(g2, grading_element_for(g2, {2}), [(0, 1)]).as_dict()
+    d[1, 2] = d.get((1, 2), 0) + 1
+    with pytest.raises(AssertionError, match="mu is not an integer"):
+        _invariants_from_diamond(g2, HodgeDeligneDiamond(tuple(sorted(d.items()))))
 
 
 def test_orbit_invariants_g2_and_example_4_14():
@@ -329,6 +357,16 @@ def test_weight_grading_dims():
         weight_grading_dims(root_system(name), i)  # raises on any mismatch
     with pytest.raises(NotFundamentalAdjoint):
         weight_grading_dims(root_system("C3"), 1)
+
+
+def test_weight_grading_dims_checks_each_eigenspace(monkeypatch):
+    # double H^{alpha_2} on a fresh G2: its eigenvalues double, so dim g_l no
+    # longer matches the S^2-eigenspace of eigenvalue -l
+    rs = RootSystem(LieType("G", 2))
+    true_coords = rs.coroot_s_coords
+    monkeypatch.setattr(rs, "coroot_s_coords", lambda a: tuple(2 * c for c in true_coords(a)))
+    with pytest.raises(AssertionError, match=r"dim g_l != dim g\^\{-l\}"):
+        weight_grading_dims(rs, 2)
 
 
 def test_coroot_s_coordinates_table5():
@@ -392,6 +430,15 @@ def test_weyl_flip_checks_every_simple_root(monkeypatch):
 
     monkeypatch.setattr(rs, "coroot_s_coords", corrupted)
     with pytest.raises(AssertionError, match="flip does not negate the grading"):
+        weyl_flip(rs, 2)
+
+
+def test_weyl_flip_checks_where_the_climb_ends():
+    # on a fresh E6, a long root below the highest one stands in for it: the
+    # climb from -alpha_2 still reaches the true highest root
+    rs = RootSystem(LieType("E", 6))
+    rs.highest_root = rs.positive_roots[-2]
+    with pytest.raises(AssertionError, match="climb from -alpha_i ends below the highest"):
         weyl_flip(rs, 2)
 
 
@@ -481,12 +528,25 @@ def test_boundary_census_figure2_counts():
         assert len(boundary_census(root_system(name), i)) == count
 
 
-CENSUS_ORACLE_CASES = [
-    (str(t), i)
-    for t in lie_types_up_to(8)
-    for i in range(1, t.rank + 1)
-    if is_fundamental_adjoint(root_system(str(t)), {i})
-] + [("B10", 2), ("D12", 2), ("B14", 2), ("D16", 2)]
+# every fundamental adjoint (type, node) up to rank 8, then four larger ones;
+# written out, so that a fault in root construction fails tests by id and
+# not the collection of this module
+CENSUS_ORACLE_SMALL = (
+    [(f"B{r}", 2) for r in range(3, 9)] + [(f"D{r}", 2) for r in range(4, 9)]
+    + [("E6", 2), ("E7", 1), ("E8", 8), ("F4", 1), ("G2", 2)]
+)
+CENSUS_ORACLE_CASES = CENSUS_ORACLE_SMALL + [("B10", 2), ("D12", 2), ("B14", 2), ("D16", 2)]
+
+
+def test_census_oracle_cases_are_the_fundamental_adjoints():
+    assert CENSUS_ORACLE_SMALL == [
+        (str(t), i)
+        for t in lie_types_up_to(8)
+        for i in range(1, t.rank + 1)
+        if is_fundamental_adjoint(root_system(str(t)), {i})
+    ]
+    for name, i in CENSUS_ORACLE_CASES[len(CENSUS_ORACLE_SMALL):]:
+        assert is_fundamental_adjoint(root_system(name), {i})
 
 
 @pytest.mark.parametrize("name, i", CENSUS_ORACLE_CASES)

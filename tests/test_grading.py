@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 from helpers import _dense_row, lie_types_up_to
@@ -6,12 +7,18 @@ from helpers import _dense_row, lie_types_up_to
 from hodgeorbit.cayley import (
     boundary_census,
     codim_one_uniqueness_check,
+    real_rank,
     validate_sos,
     weight_grading_dims,
     weyl_flip,
 )
-from hodgeorbit.chevalley import rational_form, structure_constants
-from hodgeorbit.errors import IndexOutOfRange
+from hodgeorbit.chevalley import (
+    cayley_standard_triple,
+    rational_form,
+    structure_constants,
+    theta,
+)
+from hodgeorbit.errors import HodgeOrbitError, IndexOutOfRange
 from hodgeorbit.grading import (
     adjoint_index_set,
     classify_root_compactness,
@@ -290,3 +297,21 @@ def test_vector_of_wrong_length_is_index_out_of_range(call):
     # B3 has rank 3; each call passes a vector of another length
     with pytest.raises(IndexOutOfRange, match="coordinates"):
         call(root_system("B3"))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda rs, T: rational_form(structure_constants(rs), T),
+        lambda rs, T: real_rank(rs, T),
+        lambda rs, T: cayley_standard_triple(structure_constants(rs), (1, 0, 0), T),
+        lambda rs, T: classify_root_compactness(rs, T),
+        lambda rs, T: theta(structure_constants(rs), T, {3: 1}),
+    ],
+    ids=["rational_form", "real_rank", "cayley_standard_triple",
+         "classify_root_compactness", "theta"],
+)
+def test_non_integer_grading_is_refused(call):
+    # each reads the parity of beta(T), which a half-integer entry leaves undefined
+    with pytest.raises(HodgeOrbitError, match="non-integer entry"):
+        call(root_system("B3"), (Fraction(1, 2), 0, 0))

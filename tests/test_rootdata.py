@@ -18,7 +18,13 @@ from helpers import (
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hodgeorbit.errors import IndexOutOfRange, InvalidRank, NotARoot, NotStronglyOrthogonal
+from hodgeorbit.errors import (
+    IndexOutOfRange,
+    InvalidRank,
+    NotACartanMatrix,
+    NotARoot,
+    NotStronglyOrthogonal,
+)
 from hodgeorbit.reps import fundamental_weights, rho
 from hodgeorbit.rootdata import (
     LieType,
@@ -489,6 +495,18 @@ def test_cartan_type_splits_block_sums():
         rng.shuffle(perm)
         expected = tuple(sorted(map(_named, parts), key=str))
         assert cartan_type(_relabel(matrix, perm)) == expected
+
+
+@pytest.mark.parametrize("matrix", [
+    [[3]],  # a diagonal entry other than 2
+    [[2, 0], [0, 7]],  # the same, in a second component
+    [[2, -3], [-3, 2]],  # an off-diagonal pair of no rank-2 type
+    [[2, -1], [0, 2]],  # A[i][j] != 0 with A[j][i] = 0
+    [[2, 0], [-1, 2]],  # the same, below the diagonal
+], ids=["diagonal-3", "diagonal-7", "bond-3-3", "one-sided-above", "one-sided-below"])
+def test_cartan_type_refuses_what_is_not_a_cartan_matrix(matrix):
+    with pytest.raises(NotACartanMatrix, match="unclassifiable Cartan matrix"):
+        cartan_type(matrix)
 
 
 INVERSE_CARTAN_TYPES = lie_types_up_to(12) + [
