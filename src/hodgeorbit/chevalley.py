@@ -21,7 +21,8 @@ x^alpha in root order, positives first, then their negatives in the same
 order), keyed by basis index 0..dim-1.  The bracket table ``ad`` is the one
 store of structure constants: one list row of length dim per basis index,
 ``ad[i][j]`` = ((k, c), ...) with [e_i, e_j] = sum c e_k, or () when the
-bracket is zero; the walk reads the constants it has recorded back from it.
+bracket is zero; equal entries are one shared tuple.  The walk reads the
+constants it has recorded back from it.
 Basis elements and brackets of them carry integer scalars.  The rational form
 and the Cayley standard triples it hands out carry Gaussian-rational scalars,
 so the compact real form stays exact; both are checked in integers first.
@@ -113,25 +114,27 @@ class StructureConstants:
         positive = rs.positive_roots
         r, npos = rs.rank, len(positive)
         self._norm = {b: 2 * rs.root_length(b) for b in positive}
-        self._neg = neg = {b: tuple(-c for c in b) for b in rs.roots}
-        self.basis_roots = list(positive) + [neg[b] for b in positive]
+        negative = [tuple(-c for c in b) for b in positive]
+        self._neg = neg = dict(zip(positive, negative)) | dict(zip(negative, positive))
+        self.basis_roots = list(positive) + negative
         self.root_index = {b: r + k for k, b in enumerate(self.basis_roots)}
         self.dim = r + 2 * npos
         self._basis = frozenset(range(self.dim))
         # row j: a(H^{alpha_j}) for every positive root a
         values = [root_values(rs, rs.coroot_s_coords(a)) for a in rs.simple_roots]
         ad = self.ad = [[()] * self.dim for _ in range(self.dim)]
+        entry = cache(lambda *terms: terms)  # equal entries as one tuple: E8 has 752 distinct
         for k, a in enumerate(positive):
             ia, ineg = r + k, r + npos + k
             # [H^{alpha_j}, x^{+-a}] = +-a(H^{alpha_j}) x^{+-a}
             for j, row in enumerate(values):
                 if pair := row[k]:
-                    ad[j][ia], ad[ia][j] = ((ia, pair),), ((ia, -pair),)
-                    ad[j][ineg], ad[ineg][j] = ((ineg, -pair),), ((ineg, pair),)
+                    ad[j][ia], ad[ia][j] = entry((ia, pair)), entry((ia, -pair))
+                    ad[j][ineg], ad[ineg][j] = entry((ineg, -pair)), entry((ineg, pair))
             # [x^a, x^{-a}] = H^a = -[x^{-a}, x^a]
-            coroot = tuple((j, c) for j, c in enumerate(rs.coroot(a)) if c)
-            ad[ia][ineg], ad[ineg][ia] = coroot, tuple((j, -c) for j, c in coroot)
-        self._build_table()
+            coroot = [(j, c) for j, c in enumerate(rs.coroot(a)) if c]
+            ad[ia][ineg], ad[ineg][ia] = entry(*coroot), entry(*((j, -c) for j, c in coroot))
+        self._build_table(entry)
         # Killing form closed-form data: B(H^i, H^j) = sum_g g(H^i) g(H^j),
         # twice the sum over the positive roots
         self.killing_h = tuple(
@@ -141,16 +144,16 @@ class StructureConstants:
     def _string_length(self, a, b) -> int:
         """|N_{a,b}| = p + 1 with p the length of the a-string below b."""
         n, cur = 1, tuple(x - y for x, y in zip(b, a))
-        while cur in self.rs.roots:
+        while cur in self.root_index:
             n, cur = n + 1, tuple(x - y for x, y in zip(cur, a))
         return n
 
-    def _build_table(self):
+    def _build_table(self, entry):
         """One walk over the positive roots gamma in (height, coords) order.
         The decompositions gamma = a + b (a before b) come in ascending a, so
         the first is extraspecial and is kept in ``extraspecial``; the others
         follow from the Jacobi identity on x^a, x^b, x^{-eps} through
-        constants of lower height, read back from ``ad``."""
+        constants of lower height, read back from ``ad``; ``entry`` shares them."""
         neg, index, ad = self._neg, self.root_index, self.ad
         positive = self.rs.positive_roots
         pos = {b: k for k, b in enumerate(positive)}
@@ -159,8 +162,8 @@ class StructureConstants:
         def n(a, b):
             """N_{a,b} as recorded so far; 0 when a, b or a + b is not a root
             (never asked for b = -a, whose entry is H^a)."""
-            entry = ad[index[a]][index[b]] if a in index and b in index else ()
-            return entry[0][1] if entry else 0
+            terms = ad[index[a]][index[b]] if a in index and b in index else ()
+            return terms[0][1] if terms else 0
 
         for gamma in positive:
             height = sum(gamma)
@@ -174,7 +177,7 @@ class StructureConstants:
             if not pairs:
                 continue  # gamma is simple
             eps, eta = self.extraspecial[gamma] = pairs[0]
-            self._record(eps, eta, gamma, self._string_length(eps, eta))
+            self._record(eps, eta, gamma, self._string_length(eps, eta), entry)
             n_gamma_meps = n(gamma, neg[eps])
             for a, b in pairs[1:]:
                 a_eps = tuple(x - y for x, y in zip(a, eps))
@@ -185,9 +188,9 @@ class StructureConstants:
                     raise AssertionError(
                         f"|N| = {abs(val)} != string length {expected} at {a}+{b}"
                     )
-                self._record(a, b, gamma, val)
+                self._record(a, b, gamma, val, entry)
 
-    def _record(self, x, y, s, n):
+    def _record(self, x, y, s, n, entry):
         """N_{x,y} = n for positive x + y = s, written into ``ad`` with its
         sign partners: for (x, y, n) and (y, x, -n), N_{-x,-y} = -n and, by
         the cyclic relation, N_{s,-x} = N_{x,-s} = -(y,y) n / (s,s) with
@@ -200,7 +203,7 @@ class StructureConstants:
                 (x, y, n, s), (nx, ny, -n, ns),
                 (s, nx, v, y), (nx, s, -v, y), (ns, x, -v, ny), (x, ns, v, ny),
             ):
-                ad[index[a]][index[b]] = ((index[total], c),)
+                ad[index[a]][index[b]] = entry((index[total], c))
 
     # -- element algebra ----------------------------------------------------
 
@@ -279,8 +282,8 @@ class StructureConstants:
 @cache
 def structure_constants(rs: RootSystem) -> StructureConstants:
     """The cached bracket data of ``rs``.  Its table ``ad`` has dim^2 slots,
-    zero brackets included: built under tracemalloc, E8 holds 2.29 MB, D16
-    5.88 MB and B24 24.4 MB (sparse dict rows: 2.35, 5.00 and 18.8 MB)."""
+    equal entries one tuple: under tracemalloc E8 peaks at 0.96 MB, D16 at
+    2.91 MB and B24 at 13.5 MB (a tuple per slot: 2.47, 5.88 and 24.4 MB)."""
     return StructureConstants(rs)
 
 

@@ -23,8 +23,8 @@ SCHEMA_VERSION = 1
 
 #: the largest rank for which ``roots`` (the listing) and ``orbit`` build a
 #: root system; above it they exit 2 before building.  Measured on 2 vCPU,
-#: CPython 3.11, as whole processes: the D64 listing takes 0.23-0.28 s and 24 MB
-#: (TSV) or 30 MB (JSON), the D64 census at node 2 0.29-0.38 s and 25 MB.
+#: CPython 3.11, as whole processes: the D64 listing takes 0.16-0.23 s and 21 MB
+#: (TSV) or 23 MB (JSON), the D64 census at node 2 0.22-0.25 s and 23 MB.
 MAX_BUILD_RANK = 64
 
 
@@ -93,15 +93,16 @@ def _listing(rs, fmt) -> str:
     comes from the cached ``build_root_system``, so a listing is kept exactly
     as long as its root system."""
     long_d = max(rs.lengths)
-    rows = [(b, sum(b), "long" if rs.root_length(b) == long_d else "short")
-            for b in rs.positive_roots]
-    if fmt == "json":
-        lie_type = rs.lie_type
-        count = POSITIVE_ROOT_COUNTS[lie_type.family](lie_type.rank)
-        roots = [{"coords": list(b), "height": h, "length": ln} for b, h, ln in rows]
-        return _envelope("roots", type=str(lie_type), count=count, roots=roots)
-    return "".join(["coords\theight\tlength\n",
-                    *(f"{','.join(map(str, b))}\t{h}\t{ln}\n" for b, h, ln in rows)])
+    rows = ((b, sum(b), "long" if rs.root_length(b) == long_d else "short")
+            for b in rs.positive_roots)
+    if fmt == "tsv":
+        return "".join(["coords\theight\tlength\n",
+                        *(f"{','.join(map(str, b))}\t{h}\t{ln}\n" for b, h, ln in rows)])
+    # ``_envelope``'s text written row by row: a dict tree peaks at ~20x the text
+    body = ", ".join(f'{{"coords": [{", ".join(map(str, b))}], "height": {h}, "length": "{ln}"}}'
+                     for b, h, ln in rows)
+    return (f'{{"command": "roots", "count": {len(rs.positive_roots)}, "roots": [{body}], '
+            f'"schema_version": {SCHEMA_VERSION}, "type": "{rs.lie_type}"}}\n')
 
 
 def _diamond_json(dia):

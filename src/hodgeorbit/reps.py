@@ -119,7 +119,9 @@ def _weyl_dimension(rs: RootSystem, fund) -> int:
 def weights_with_E_value_one(rs: RootSystem, E) -> list[Weight]:
     """All dominant integral lam with lam(E) = 1, for E = sum_{i in I} S^i.
 
-    Each returned lam also satisfies lam*(E) = 1, which is asserted.
+    When -w_0 fixes E, as in every case of Lemma 3.5, each returned lam also
+    has lam*(E) = 1; otherwise the dual may not (A2, E = S^1: 3 w_2 has
+    value 1, its dual 3 w_1 value 2).
     IndexOutOfRange when some w_j(E) <= 0, as for E = 0.
     """
     fw = fundamental_weights(rs)
@@ -139,10 +141,6 @@ def weights_with_E_value_one(rs: RootSystem, E) -> list[Weight]:
             c += 1
 
     search(0, [], Fraction(0))
-    for lam in found:
-        star = dual_weight(rs, lam)
-        if evaluate(star.root_coords, E) != 1:
-            raise AssertionError("dual weight fails lam*(E) = 1")
     found.sort(key=lambda w: w.fund_coords)
     return found
 

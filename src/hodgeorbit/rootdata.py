@@ -35,8 +35,8 @@ and a coroot H^b as its S-coordinates ``coroot_s_coords``.  The columns' Gram
 matrix also gives ``inverse_cartan`` without elimination.
 
 W preserves length, so the walk gives each positive root the d_j of the
-simple root it came from, and each negative root its negation's: ``roots`` is
-the key view of that one map, and ``root_length`` a lookup.
+simple root it came from.  That map holds the positive roots only: a query
+for -beta reads beta's entry, and the set ``roots`` is built on first use.
 
 ``cartan_type`` is the one classifier of Cartan matrices: it splits a
 matrix into connected components and names each one.
@@ -48,7 +48,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
-from operator import mul
+from operator import mul, neg
 
 from .errors import IndexOutOfRange, InvalidRank, NotACartanMatrix, NotARoot, NotStronglyOrthogonal
 
@@ -127,8 +127,10 @@ def cartan_type(matrix) -> tuple[LieType, ...]:
 
     Each component is matched up to a relabelling of its nodes against the
     types of its rank in ABCDEFG order, so the coincidence B2 = C2 is
-    reported as B2.  NotACartanMatrix when a component matches none.
+    reported as B2.  NotACartanMatrix for a non-square matrix or a component of no type.
     """
+    if any(len(row) != len(matrix) for row in matrix):
+        raise NotACartanMatrix(f"{matrix} is not a square matrix")
     unseen = set(range(len(matrix)))
     types = []
     while unseen:
@@ -192,7 +194,8 @@ class RootSystem:
 
     The positive roots are walked up from the simple roots, the negative
     roots are their negations; membership tests and root lengths go through
-    one dict keyed on coords, and ``roots`` is its key view.
+    one dict keyed on the positive roots' coords, and ``roots``, with the
+    negative roots as well, is built on first use.
     Safe for concurrent shared reads once constructed.
     """
 
@@ -277,14 +280,12 @@ class RootSystem:
 
     def _generate(self):
         # the walk up of the module docstring: s_j where the pairing p < 0
-        # adds -p alpha_j.  W preserves length: a start alpha_j has d_j, a
-        # child its parent's d, and a negative root its negation's
+        # adds -p alpha_j.  W preserves length: a start alpha_j has d_j and a
+        # child its parent's d
         r = self.rank
         tree = self._walk(dict(zip(self.simple_roots, self.lengths)), None, up=True)
         positives = sorted(tree, key=lambda beta: (sum(beta), beta))
-        tree.update({tuple([-c for c in beta]): d for beta, d in tree.items()})
         self._root_lengths = tree
-        self.roots = tree.keys()
         self.positive_roots = tuple(positives)
         want = POSITIVE_ROOT_COUNTS[self.lie_type.family](r)
         if len(positives) != want:
@@ -293,6 +294,11 @@ class RootSystem:
         if self.bilinear(theta, theta) != 2 * tree[theta]:
             raise AssertionError("root lengths do not match the form")
         self.dimension = r + 2 * len(positives)
+
+    @cached_property
+    def roots(self) -> frozenset:
+        """Every root: the positive roots and their negations, on first use."""
+        return frozenset(self.positive_roots).union(tuple(map(neg, b)) for b in self.positive_roots)
 
     @cached_property
     def positive_columns(self) -> tuple[tuple[int, ...], ...]:
@@ -319,13 +325,16 @@ class RootSystem:
 
     # -- basic queries ----------------------------------------------------
 
+    def _positive(self, beta: tuple) -> tuple:
+        """beta, or -beta unless beta has positive height: a root's key in ``_root_lengths``."""
+        return beta if sum(beta) > 0 else tuple(map(neg, beta))
+
     def is_root(self, coords) -> bool:
-        return tuple(coords) in self.roots
+        return self._positive(tuple(coords)) in self._root_lengths
 
     def check_root(self, coords) -> Coords:
         beta = tuple(coords)
-        if beta not in self.roots:
-            raise NotARoot(f"{beta} is not a root of {self.lie_type}")
+        self.root_length(beta)
         return beta
 
     def check_length(self, v) -> None:
@@ -346,7 +355,10 @@ class RootSystem:
 
     def root_length(self, alpha) -> int:
         """d_alpha with (alpha, alpha) = 2 d_alpha, as the walk recorded it."""
-        return self._root_lengths[self.check_root(alpha)]
+        beta = tuple(alpha)
+        if (d := self._root_lengths.get(self._positive(beta))) is None:
+            raise NotARoot(f"{beta} is not a root of {self.lie_type}")
+        return d
 
     def coroot(self, alpha) -> Coords:
         """H^alpha as an integer vector in the basis H^{alpha_1}..H^{alpha_r}."""

@@ -32,12 +32,15 @@ passes: the positive constants, then the mixed-sign ones, then their
 negatives.  The g2 matrices on V7 come from a search over the signs of the
 lowering entries, checked on every basis bracket.  The dimension of a
 component of C_o is counted by walking each positive root's support.
+The JSON root listing is one dict tree handed to ``json.dumps``, where the
+library writes it row by row.
 The defining representation of sl2 with its unit-disc check, and the G2
 coordinates of g^{-1}, are fixtures that only the tests use.
 """
 
 import functools
 import itertools
+import json
 import math
 from fractions import Fraction
 from operator import mul, sub
@@ -313,6 +316,18 @@ def bilinear_by_sym(rs: RootSystem, x, y):
     r = rs.rank
     sym = _sym(rs)
     return sum(x[i] * sym[i][j] * y[j] for i in range(r) for j in range(r))
+
+
+def roots_listing_by_json_dumps(rs: RootSystem) -> str:
+    """The text of ``roots --format json`` from a dict and a list per root,
+    in one envelope dict rendered by ``json.dumps(sort_keys=True)``."""
+    long_d = max(rs.lengths)
+    roots = [{"coords": list(b), "height": sum(b),
+              "length": "long" if rs.root_length(b) == long_d else "short"}
+             for b in rs.positive_roots]
+    envelope = {"command": "roots", "count": len(roots), "roots": roots,
+                "schema_version": 1, "type": str(rs.lie_type)}
+    return json.dumps(envelope, sort_keys=True) + "\n"
 
 
 @functools.cache

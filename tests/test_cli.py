@@ -12,9 +12,9 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import lie_types_up_to
+from helpers import lie_types_up_to, roots_listing_by_json_dumps
 from hodgeorbit.cli import MAX_BUILD_RANK, TABLE_IDS, _listing, main, render_table
-from hodgeorbit.rootdata import build_root_system, root_system
+from hodgeorbit.rootdata import LieType, build_root_system, root_system
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "..", "golden")
 
@@ -420,6 +420,15 @@ def test_roots_listing_bytes_are_pinned(name):
         res = _run(["roots", "--type", name, "--format", fmt])
         assert res.exit_code == 0
         assert hashlib.sha256(res.stdout_bytes).hexdigest() == want, fmt
+
+
+@pytest.mark.parametrize("lie_type", lie_types_up_to(12) + [LieType.parse("D64")], ids=str)
+def test_json_listing_is_the_json_of_its_dict_tree(lie_type):
+    # the listing is written row by row; it must still be the canonical
+    # json.dumps(sort_keys=True) text, field for field the old dict tree's
+    text = _listing(build_root_system(lie_type), "json")
+    assert json.dumps(json.loads(text), sort_keys=True) + "\n" == text
+    assert text == roots_listing_by_json_dumps(build_root_system(lie_type))
 
 
 def test_count_only_and_over_cap_leave_the_listing_memo_alone():

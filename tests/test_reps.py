@@ -16,7 +16,7 @@ from helpers import (
 )
 from hodgeorbit.cayley import real_rank
 from hodgeorbit.errors import DimensionCapExceeded, IndexOutOfRange, NotDominant
-from hodgeorbit.grading import grading_element_for, parabolic
+from hodgeorbit.grading import evaluate, grading_element_for, parabolic
 from hodgeorbit.reps import (
     dual_weight,
     embedding_degree,
@@ -318,6 +318,32 @@ def test_weights_with_E_value_one_lemma_lists():
         E = grading_element_for(rs, set(I))
         got = sorted(tuple(int(c) for c in w.fund_coords) for w in weights_with_E_value_one(rs, E))
         assert got == sorted(expected), name
+
+
+#: the (type, I) of Lemma 3.5, as the ``lemma3_5`` table lists them
+LEMMA3_5_CASES = [
+    ("A5", (1, 5)), ("B4", (2,)), ("C4", (1,)), ("D5", (2,)), ("E6", (2,)),
+    ("E7", (1,)), ("E8", (8,)), ("F4", (1,)), ("G2", (2,)),
+]
+
+
+@pytest.mark.parametrize("name, I", LEMMA3_5_CASES)
+def test_lemma3_5_weights_have_dual_value_one(name, I):
+    # -w_0 fixes each of these E, so the dual lam* = -w_0(lam) has
+    # lam*(E) = lam(-w_0 E) = 1 too
+    rs = root_system(name)
+    E = grading_element_for(rs, set(I))
+    for lam in weights_with_E_value_one(rs, E):
+        assert evaluate(dual_weight(rs, lam).root_coords, E) == 1, lam.fund_coords
+
+
+def test_weights_with_E_value_one_off_the_fixed_points_of_minus_w0():
+    # on A2, -w_0 swaps S^1 and S^2: 3 w_2 has value 1 at S^1, its dual 3 w_1 value 2
+    rs = root_system("A2")
+    E = grading_element_for(rs, {1})
+    got = [tuple(int(c) for c in w.fund_coords) for w in weights_with_E_value_one(rs, E)]
+    assert got == [(0, 3), (1, 1)]
+    assert evaluate(dual_weight(rs, weight_from_fund(rs, (0, 3))).root_coords, E) == 2
 
 
 @pytest.mark.parametrize("E", [(0, 0, 0), (1, -1, 0)])

@@ -400,6 +400,30 @@ def test_root_lengths_from_the_tree_match_the_form(lie_type):
             rs.root_length(bad)
 
 
+@pytest.mark.parametrize("lie_type", lie_types_up_to(12), ids=str)
+def test_root_queries_match_a_map_of_the_positives_and_their_negations(lie_type):
+    # the library stores the positive roots only; every query must answer as
+    # the full map would, lengths from the dense form
+    rs = RootSystem(lie_type)
+    lengths = {b: bilinear_by_sym(rs, b, b) // 2 for b in rs.positive_roots}
+    lengths |= {tuple(-c for c in b): d for b, d in lengths.items()}
+    assert rs.roots == lengths.keys()
+    r = rs.rank
+    near = {b[:j] + (b[j] + s,) + b[j + 1:] for b in lengths for j in range(r) for s in (1, -1)}
+    bad = [(0,) * r, (1,) * (r + 1), (-1,) * (r + 1), (1,) * (r - 1), (-1,) * (r - 1)]
+    if r > 1:
+        bad += [(1, -1) + (0,) * (r - 2), (-1,) + (1,) * (r - 1)]
+    for v in sorted(lengths.keys() | near) + bad:
+        if v in lengths:
+            assert rs.is_root(v) and rs.check_root(iter(v)) == v
+            assert rs.root_length(v) == lengths[v], v
+            continue
+        assert not rs.is_root(v), v
+        for query in (rs.check_root, rs.root_length):
+            with pytest.raises(NotARoot):
+                query(v)
+
+
 # -- the Cartan data against Euclidean simple roots ---------------------------
 
 
@@ -506,6 +530,16 @@ def test_cartan_type_splits_block_sums():
 ], ids=["diagonal-3", "diagonal-7", "bond-3-3", "one-sided-above", "one-sided-below"])
 def test_cartan_type_refuses_what_is_not_a_cartan_matrix(matrix):
     with pytest.raises(NotACartanMatrix, match="unclassifiable Cartan matrix"):
+        cartan_type(matrix)
+
+
+@pytest.mark.parametrize("matrix", [
+    [[2, -1], [-1]],  # ragged
+    [[2, -1, 0], [-1, 2, 0]],  # two rows of three
+    [[2], [2]],  # two rows of one
+], ids=["ragged", "wide", "tall"])
+def test_cartan_type_refuses_a_matrix_that_is_not_square(matrix):
+    with pytest.raises(NotACartanMatrix, match="not a square matrix"):
         cartan_type(matrix)
 
 

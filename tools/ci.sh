@@ -92,6 +92,23 @@ dimension_cap() {
   cmp golden/intro_hodge_numbers.tsv "$out/intro_hodge_numbers.tsv"
 }
 
+peak_rss_kb() {
+  # peak resident size in kB of one hodgeorbit run with the given arguments,
+  # its own child, so no earlier run counts toward it
+  python -c 'import resource, subprocess, sys
+subprocess.run(sys.argv[1:], stdout=subprocess.DEVNULL, check=True)
+print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)' ${HODGEORBIT:-hodgeorbit} "$@"
+}
+
+json_listing_memory() {
+  # the JSON listing is written row by row, so it may peak at most 3 MB above
+  # the TSV listing of the same roots (5.9 MB above as one json.dumps tree)
+  json=$(peak_rss_kb roots --type D64 --format json)
+  tsv=$(peak_rss_kb roots --type D64 --format tsv)
+  echo "D64 listing peak RSS: $json kB as JSON, $tsv kB as TSV"
+  test $((json - tsv)) -le 3072
+}
+
 tier1_tests() {
   PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -m pytest -q --continue-on-collection-errors --durations=15
 }
@@ -142,6 +159,7 @@ step "Tables, the E8 census and the D64 listing do not depend on the hash seed" 
 step "Bad input exits with its code and without a traceback" bad_input_exit_codes
 step "A long --sos is refused at once by the rank bound" long_sos_refused
 step "Dimension cap on tables, existing files left alone" dimension_cap
+step "The D64 JSON listing peaks within 3 MB of the TSV one" json_listing_memory
 step "Tier-1 tests" tier1_tests
 step "Benchmark self-test" benchmark_selftest
 step "Census reference digests" census_reference_digests
