@@ -286,10 +286,9 @@ def _invariants_from_diamond(rs: RootSystem, dia: HodgeDeligneDiamond) -> OrbitI
             - dia.dim(2, 2)
             + 2
         )
-        mu2 = c + k - 2
-        if mu2 % 2:
-            raise AssertionError("mu is not an integer")
-        mu = mu2 // 2
+        # even: _check_diamond has enforced h^{p,q} = h^{q,p}, so
+        # c + k - 2 = 2 (h^{1,1} + h^{1,2} + h^{0,1} + h^{0,2})
+        mu = (c + k - 2) // 2
     else:
         k = mu = None
     return OrbitInvariants(c, k, mu, lmhs_type(rs, dia))

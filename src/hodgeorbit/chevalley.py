@@ -27,14 +27,15 @@ Basis elements and brackets of them carry integer scalars.  The rational form
 and the Cayley standard triples it hands out carry Gaussian-rational scalars,
 so the compact real form stays exact; both are checked in integers first.
 
-The rational form is verified through the same integer bracket and Killing
-form: each of its members h^j, u^beta, v^beta is i^e w with e in {0, 1} and
-w an integer vector, read once as the pair (e, w).  A bracket of two members
-is i^(ea+eb) [wa, wb] and a Killing value i^(ea+eb) B(wa, wb), so neither
-needs Gaussian arithmetic.  On +-beta the member of phase e is
-i^e (x^beta + s x^-beta) with a fixed sign s, so reading a bracket back in
-the integral basis visits only its nonzero entries, and closure is the test
-w[x^-beta] = s w[x^beta]: integrality then holds by itself.
+Each member h^j, u^beta, v^beta of the rational form is built once as
+(block, e, w): i^e w in k (block 0) or k^perp (1), with e in {0, 1} and w an
+integer vector.  A bracket of two members is i^(ea+eb) [wa, wb] and a Killing
+value i^(ea+eb) B(wa, wb), so the check needs no Gaussian arithmetic.  On
++-beta the member of phase e is i^e (x^beta + s x^-beta) with a fixed sign s,
+so closure is the test w[x^-beta] = s w[x^beta] on the nonzero entries of a
+bracket, and integrality holds by itself.  The Killing form is checked on the
+blocks the construction gives, the Cartan members and each (u^beta, v^beta),
+and then the members are converted to Gaussian rationals, once.
 """
 
 from __future__ import annotations
@@ -98,9 +99,6 @@ class GaussianRational:
 
     def __repr__(self):
         return f"({self.re}+{self.im}i)"
-
-
-I_UNIT = GaussianRational(Fraction(0), Fraction(1))
 
 
 # -- structure constants ------------------------------------------------------
@@ -295,7 +293,9 @@ def adjoint_matrix(sc: StructureConstants, element: dict) -> list:
 
 def jacobi_residual(sc: StructureConstants, i: int, j: int, k: int) -> dict:
     """[x_i,[x_j,x_k]] + [x_j,[x_k,x_i]] + [x_k,[x_i,x_j]] on basis indices
-    i, j, k, which must be in ``range(sc.dim)`` and are not checked."""
+    i, j, k, which must be in ``range(sc.dim)``.  They are not checked: this
+    is the 500k-call loop of the ``chevalley_forms`` workload.  A negative
+    index wraps to the end of a row; an index >= dim raises IndexError."""
     ad = sc.ad
     ad_i, ad_j, ad_k = ad[i], ad[j], ad[k]
     out: dict = {}
@@ -330,8 +330,14 @@ class RationalFormBasis:
     noncompact_dim: int
 
 
-def _gr_vec(entries) -> dict:
-    return {k: GaussianRational.of(c) for k, c in entries.items() if c}
+def _members(sc: StructureConstants, parity: dict) -> list:
+    """(block, e, w) for i^e w: h^j = i H^{alpha_j}, then i^p (x^beta - x^-beta)
+    and i^(1-p) (x^beta + x^-beta) for each beta of ``parity`` p."""
+    members = [(0, 1, {j: 1}) for j in range(sc.rs.rank)]
+    for beta, p in parity.items():
+        ib, ineg = sc.root_index[beta], sc.root_index[sc._neg[beta]]
+        members += [(p, p, {ib: 1, ineg: -1}), (p, 1 - p, {ib: 1, ineg: 1})]
+    return members
 
 
 def rational_form(sc: StructureConstants, T) -> RationalFormBasis:
@@ -343,38 +349,15 @@ def rational_form(sc: StructureConstants, T) -> RationalFormBasis:
     """
     _check_integral_grading(T)
     rs = sc.rs
-    h = tuple(_gr_vec({j: I_UNIT}) for j in range(rs.rank))
-    u, v, parity = {}, {}, {}
-    for beta, t in zip(rs.positive_roots, root_values(rs, T)):
-        ib, ineg = sc.root_index[beta], sc.root_index[sc._neg[beta]]
-        parity[beta] = odd = t % 2
-        cu, cv = (I_UNIT, 1) if odd else (1, I_UNIT)
-        u[beta], v[beta] = _gr_vec({ib: cu, ineg: -cu}), _gr_vec({ib: cv, ineg: cv})
-    basis = RationalFormBasis(
-        tuple(T),
-        h,
-        u,
-        v,
-        parity,
-        rs.rank + 2 * sum(1 for p in parity.values() if p == 0),
-        2 * sum(1 for p in parity.values() if p == 1),
-    )
-    _verify_rational_form(sc, basis)
-    return basis
-
-
-def _phase_and_integers(vec: dict):
-    """(e, w) with vec = i^e w, e in {0, 1} and w an int dict; an
-    AssertionError for a vector of any other shape."""
-    entries = [(k, GaussianRational.of(c)) for k, c in vec.items() if c]
-    e = int(bool(entries and entries[0][1].im))
-    w = {}
-    for k, c in entries:
-        x, off = (c.im, c.re) if e else (c.re, c.im)
-        if off or x.denominator != 1:
-            raise AssertionError("member is not 1 or i times an integer vector")
-        w[k] = int(x)
-    return e, w
+    parity = {beta: t % 2 for beta, t in zip(rs.positive_roots, root_values(rs, T))}
+    members = _members(sc, parity)
+    _verify_rational_form(sc, T, parity, members)
+    vecs = [{k: GaussianRational(Fraction(0), Fraction(c)) if e else GaussianRational.of(c)
+             for k, c in w.items()} for _, e, w in members]
+    r, odd = rs.rank, sum(parity.values())
+    return RationalFormBasis(tuple(T), tuple(vecs[:r]), dict(zip(parity, vecs[r::2])),
+                             dict(zip(parity, vecs[r + 1::2])), parity,
+                             r + 2 * (len(parity) - odd), 2 * odd)
 
 
 def _check_block(sc: StructureConstants, parity: dict, e: int, w: dict, block: int):
@@ -389,14 +372,13 @@ def _check_block(sc: StructureConstants, parity: dict, e: int, w: dict, block: i
     r, npos, roots = sc.rs.rank, len(parity), sc.basis_roots
     for k in w:
         if k < r:
-            if not e:
-                raise AssertionError("g_Z is not closed under the bracket")
-            p = 0
+            p, closed = 0, e == 1
         else:
             m = (k - r) % npos
             p = parity[roots[m]]
-            if w.get(r + npos + m, 0) != (1 if (e + p) % 2 else -1) * w.get(r + m, 0):
-                raise AssertionError("g_Z is not closed under the bracket")
+            closed = w.get(r + npos + m, 0) == (1 if (e + p) % 2 else -1) * w.get(r + m, 0)
+        if not closed:
+            raise AssertionError("g_Z is not closed under the bracket")
         if p != block:
             raise AssertionError("Cartan decomposition blocks violated")
 
@@ -405,85 +387,65 @@ def theta(sc: StructureConstants, T, vec: dict) -> dict:
     """Cartan involution: +1 on k, -1 on k^perp; on root vectors
     theta(x^alpha) = (-1)^{alpha(T)} x^alpha."""
     _check_integral_grading(T)
+    sc.rs.check_length(T)
     sc._check_basis_indices(vec)
     r = sc.rs.rank
     return {k: -c if k >= r and evaluate(sc.basis_roots[k - r], T) % 2 else c
             for k, c in vec.items()}
 
 
-def _verify_rational_form(sc: StructureConstants, basis: RationalFormBasis):
-    parity = basis.parity
-    members = [(0, *_phase_and_integers(hj)) for hj in basis.h]  # (block, e, w)
-    for beta, p in parity.items():
-        members.append((p, *_phase_and_integers(basis.u[beta])))
-        members.append((p, *_phase_and_integers(basis.v[beta])))
+def _verify_rational_form(sc: StructureConstants, T, parity: dict, members: list):
+    """AssertionError unless ``members``, in the layout of ``_members``, pass
+    every check that ``rational_form`` lists."""
     # [i^ea wa, i^eb wb] = i^(ea+eb) [wa, wb], up to a sign that g_Z ignores
     for pa, ea, wa in members:
         for pb, eb, wb in members:
             _check_block(sc, parity, (ea + eb) % 2, sc._bracket(wa, wb), (pa + pb) % 2)
-    # theta is the identity on k and minus the identity on k^perp; it is
-    # linear, so it is checked on w.  theta^2 = 1 needs no check of its own:
-    # theta(-w) = -theta(w), so theta(w) = +-w gives theta(theta(w)) = w
-    T = basis.grading_element
+    # theta is linear, so it is checked on w: +w on k, -w on k^perp.  That
+    # gives theta^2 = 1, since theta(-w) = -theta(w)
     for p, _, w in members:
         if theta(sc, T, w) != (w if p == 0 else {k: -c for k, c in w.items()}):
             raise AssertionError("theta has the wrong sign on a block")
-    # Killing form: negative definite on k_Z, positive definite on k_Z^perp
-    for block, sign in ((0, -1), (1, 1)):
-        gram = _killing_gram(sc, [(e, w) for p, e, w in members if p == block])
-        if not _definite(gram, sign):
+    # Killing form: B(H, x^a) = 0 and B(x^a, x^b) = 0 unless b = -a, so the
+    # gram of each of k and k^perp is block diagonal, its blocks the Cartan
+    # members and the pair (u^beta, v^beta) of each beta
+    r = sc.rs.rank
+    for group in [members[:r]] + [members[k:k + 2] for k in range(r, len(members), 2)]:
+        sign = 1 if group[0][0] else -1
+        if not _definite(_killing_gram(sc, [(e, w) for _, e, w in group]), sign):
             raise AssertionError("Killing form has the wrong signature")
 
 
 def _killing_gram(sc: StructureConstants, members) -> list:
     """The Gram matrix of B on ``members``, each a pair (e, w) for i^e w, in
-    integers: B(i^ea wa, i^eb wb) = i^(ea+eb) B(wa, wb).  B(x^a, x^b) = 0
-    unless b = -a and B(H, x^a) = 0, so only members sharing the Cartan part
-    or a support +-beta are paired; every other entry is 0."""
-    r, npos = sc.rs.rank, len(sc.rs.positive_roots)
-    gram = [[0] * len(members) for _ in members]
-    sharing: dict = {}  # -1 for the Cartan part, m for +-beta_m -> members
-    for a, (_, w) in enumerate(members):
-        for part in {-1 if k < r else (k - r) % npos for k in w}:
-            sharing.setdefault(part, []).append(a)
-    for group in sharing.values():
-        for a in group:
-            ea, wa = members[a]
-            for b in group:
-                eb, wb = members[b]
-                value = sc.killing(wa, wb)
-                if value and (ea + eb) % 2:
-                    raise AssertionError("Killing value should be real")
-                gram[a][b] = -value if ea + eb == 2 else value
+    integers: B(i^ea wa, i^eb wb) = i^(ea+eb) B(wa, wb)."""
+    gram = []
+    for ea, wa in members:
+        row = []
+        for eb, wb in members:
+            value = sc.killing(wa, wb)
+            if value and (ea + eb) % 2:
+                raise AssertionError("Killing value should be real")
+            row.append(-value if ea + eb == 2 else value)
+        gram.append(row)
     return gram
 
 
 def _definite(gram, sign) -> bool:
-    """Is sign * gram (exact, symmetric) positive definite?  Exactly when each
-    connected block of nonzero entries is: for a Killing gram, the Cartan part
-    and one per +-beta.  ``gram`` is integer; each block gets one fraction-free
-    (Bareiss) pass whose k-th pivot is the k-th leading minor (Sylvester)."""
-    near = [[j for j, x in enumerate(row) if x] for row in gram]
-    seen = set()
-    for first in range(len(gram)):
-        if first in seen:
-            continue
-        block = [first]
-        seen.add(first)
-        for a in block:  # grows into the component of ``first``
-            block += [b for b in near[a] if b not in seen]
-            seen.update(near[a])
-        m = [[sign * gram[a][b] for b in block] for a in block]
-        prev = 1
-        for k, row in enumerate(m):
-            pivot = row[k]
-            if pivot <= 0:
-                return False
-            for target in m[k + 1:]:
-                f = target[k]
-                for j in range(k + 1, len(m)):
-                    target[j] = (target[j] * pivot - f * row[j]) // prev
-            prev = pivot
+    """Is sign * gram (integer, symmetric) positive definite?  Exactly when
+    every pivot of one fraction-free (Bareiss) pass is positive: the k-th
+    pivot is the k-th leading minor (Sylvester)."""
+    m = [[sign * x for x in row] for row in gram]
+    prev = 1
+    for k, row in enumerate(m):
+        pivot = row[k]
+        if pivot <= 0:
+            return False
+        for target in m[k + 1:]:
+            f = target[k]
+            for j in range(k + 1, len(m)):
+                target[j] = (target[j] * pivot - f * row[j]) // prev
+        prev = pivot
     return True
 
 
@@ -645,16 +607,13 @@ def _check_degree_minus_one(sc: StructureConstants, i: int, xi: dict):
 
 def second_fundamental_form(sc: StructureConstants, i: int, xi: dict) -> dict:
     """II(xi) = (ad xi)^2 x^theta for xi in g^{-1} (Chevalley coordinates) of
-    the grading E = S^i of a fundamental adjoint (type, {i}); it lands in g^0.
+    the grading E = S^i of a fundamental adjoint (type, {i}).  It lands in
+    g^0: xi has degree -1, x^theta degree theta_i = 2, and ad adds degrees.
 
     The variety of lines C_o through the base point is the base locus of II
     (Landsberg-Manivel, Comment. Math. Helv. 78, 2003)."""
     _check_degree_minus_one(sc, i, xi)
-    rs = sc.rs
-    out = sc.bracket(xi, sc.bracket(xi, sc.x(rs.highest_root)))
-    if any(k >= rs.rank and sc.basis_roots[k - rs.rank][i - 1] for k in out):
-        raise AssertionError("second fundamental form left g^0")
-    return out
+    return sc.bracket(xi, sc.bracket(xi, sc.x(sc.rs.highest_root)))
 
 
 def cone_point(sc: StructureConstants, i: int, steps) -> dict:

@@ -96,7 +96,8 @@ def parabolic(rs: RootSystem, I) -> ParabolicData:
 
 
 def adjoint_index_set(rs: RootSystem) -> frozenset:
-    """I(p) for the adjoint variety: the i with highest_root - alpha_i a root."""
+    """I(p) for the adjoint variety: the i with highest_root - alpha_i a root,
+    so, past A1, with <highest_root, alpha_i^vee> > 0 (highest_root + alpha_i is none)."""
     at = rs.highest_root
     out = set()
     for i in range(rs.rank):
@@ -112,14 +113,10 @@ def is_fundamental_adjoint(rs: RootSystem, I) -> bool:
     if len(I) != 1:
         return False
     (i,) = I
-    # highest_root = w_i means its simple-coroot pairings are delta_{i.}
+    # highest_root = w_i means its simple-coroot pairings are delta_{i.}, and
+    # then adjoint_index_set(rs) = {i}
     delta_i = tuple(int(j == i - 1) for j in range(rs.rank))
-    if rs.pairings(rs.highest_root) != delta_i:
-        return False
-    # the defining property: highest_root - alpha_j is a root iff j = i
-    if adjoint_index_set(rs) != I:
-        raise AssertionError("fundamental adjoint property violated")
-    return True
+    return rs.pairings(rs.highest_root) == delta_i
 
 
 def _require_fundamental_adjoint(rs: RootSystem, i: int):

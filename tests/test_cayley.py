@@ -16,8 +16,6 @@ from helpers import (
 )
 
 from hodgeorbit.cayley import (
-    HodgeDeligneDiamond,
-    _invariants_from_diamond,
     _so_graph,
     bigrading,
     boundary_census,
@@ -45,6 +43,7 @@ from hodgeorbit.rootdata import (
     conjugate_root,
     root_system,
 )
+from hodgeorbit.tables import _ADJOINT_ALL
 
 # Table rows: (c, mu) classes of the boundary census per type
 CENSUS_EXPECTED = {
@@ -303,17 +302,6 @@ def test_conjugation_consistency_root_level():
             assert (pb, qb) == (q, p)
 
 
-def test_invariants_check_that_mu_is_an_integer():
-    # one more count at h^{1,2} of the G2 diamond of B = {alpha_2} makes c + k
-    # odd.  It also breaks Hodge symmetry, which bigrading checks first, so the
-    # corrupted diamond is passed in directly
-    g2 = root_system("G2")
-    d = bigrading(g2, grading_element_for(g2, {2}), [(0, 1)]).as_dict()
-    d[1, 2] = d.get((1, 2), 0) + 1
-    with pytest.raises(AssertionError, match="mu is not an integer"):
-        _invariants_from_diamond(g2, HodgeDeligneDiamond(tuple(sorted(d.items()))))
-
-
 def test_orbit_invariants_g2_and_example_4_14():
     g2 = root_system("G2")
     E = grading_element_for(g2, {2})
@@ -336,10 +324,14 @@ def test_orbit_invariants_g2_and_example_4_14():
 
 
 def test_mu_identity_on_adjoint_diamonds():
-    for name, i in [("G2", 2), ("F4", 1), ("B4", 2), ("D5", 2)]:
-        rs = root_system(name)
-        for entry in boundary_census(rs, i):
-            inv = entry.invariants
+    # on every census diamond of the adjoint tables, c + k - 2 is twice
+    # h^{1,1} + h^{1,2} + h^{0,1} + h^{0,2}, so mu = (c + k) / 2 - 1 is an
+    # integer with no check of its own
+    for name, i in _ADJOINT_ALL:
+        for entry in boundary_census(root_system(name), i):
+            inv, dia = entry.invariants, entry.diamond
+            half = dia.dim(1, 1) + dia.dim(1, 2) + dia.dim(0, 1) + dia.dim(0, 2)
+            assert inv.codim + inv.k_dim - 2 == 2 * half, (name, entry.representative)
             assert inv.mu == (inv.codim + inv.k_dim) // 2 - 1
 
 

@@ -24,11 +24,10 @@ from hodgeorbit.chevalley import (
 )
 from hodgeorbit.chevalley import (
     G2_V7_WEIGHTS,
-    I_UNIT,
     _check_block,
     _definite,
     _killing_gram,
-    _phase_and_integers,
+    _members,
     _verify_rational_form,
 )
 from hodgeorbit.errors import (
@@ -37,8 +36,8 @@ from hodgeorbit.errors import (
     NotDegreeOne,
     NotFundamentalAdjoint,
 )
-from hodgeorbit.grading import evaluate
-from hodgeorbit.rootdata import root_system
+from hodgeorbit.grading import evaluate, is_fundamental_adjoint
+from hodgeorbit.rootdata import RootSystem, root_system
 
 from helpers import (
     a1_disc_coordinate_in_unit_disc,
@@ -242,8 +241,8 @@ def test_gaussian_rational_hashes_like_the_number_it_equals():
     half = Fraction(1, 2)
     assert {half: "half"}[GaussianRational.of(half)] == "half"
     # a non-real value equals, and finds as a key, only itself
-    i = GaussianRational(Fraction(0), Fraction(1))
-    assert i == I_UNIT and {I_UNIT: "i"}[i] == "i"
+    i, j = (GaussianRational(Fraction(0), Fraction(1)) for _ in range(2))
+    assert i == j and {j: "i"}[i] == "i"
     others = (0, 1, Fraction(1), GaussianRational.of(1), GaussianRational(Fraction(1), Fraction(1)))
     assert all(i != x for x in others)
     assert i not in set(others)
@@ -276,34 +275,41 @@ def test_rational_form_full_verification_runs():
         rational_form(_sc(name), T)
 
 
-def test_verify_rejects_halved_u_vector():
-    sc = _sc("G2")
-    rf = rational_form(sc, (0, 1))
-    u = dict(rf.u)
-    u[(1, 0)] = {k: c * Fraction(1, 2) for k, c in u[(1, 0)].items()}
-    with pytest.raises(AssertionError, match="not 1 or i times an integer"):
-        _verify_rational_form(sc, dataclasses.replace(rf, u=u))
+def _output_cases():
+    """E6, E7, E8, B5 and D5, each at S^1 and at two seeded gradings."""
+    rng = random.Random(1729)
+    for name in ("E6", "E7", "E8", "B5", "D5"):
+        r = root_system(name).rank
+        yield name, (1,) + (0,) * (r - 1)
+        for _ in range(2):
+            yield name, tuple(rng.randint(-3, 3) for _ in range(r))
 
 
-def test_verify_rejects_member_of_mixed_phase():
-    # u^beta + v^beta has entries 1 + i and -1 + i: neither 1 nor i times an
-    # integer vector
-    sc = _sc("G2")
-    rf = rational_form(sc, (0, 1))
-    u = dict(rf.u)
-    u[(1, 0)] = {k: c + rf.v[(1, 0)][k] for k, c in u[(1, 0)].items()}
-    with pytest.raises(AssertionError, match="not 1 or i times an integer"):
-        _verify_rational_form(sc, dataclasses.replace(rf, u=u))
+def test_rational_form_members_are_one_or_i_times_integer_vectors():
+    """Read from .re/.im alone: each member is i^e times a nonzero integer
+    vector, with e = 1 for h^j, p for u^beta and 1 - p for v^beta."""
+    for name, T in _output_cases():
+        rf = rational_form(_sc(name), T)
+        assert len(rf.h) == len(T) and len(rf.u) == len(rf.v) == len(rf.parity)
+        members = [(1, h) for h in rf.h]
+        for beta, p in rf.parity.items():
+            assert p == evaluate(beta, T) % 2
+            members += [(p, rf.u[beta]), (1 - p, rf.v[beta])]
+        for e, vec in members:
+            assert vec, (name, T)
+            for c in vec.values():
+                on, off = (c.im, c.re) if e else (c.re, c.im)
+                assert type(on) is type(off) is Fraction, (name, T, vec)
+                assert off == 0 and on != 0 and on.denominator == 1, (name, T, vec)
 
 
-def test_phase_and_integers_reads_each_member_shape():
-    rf = rational_form(_sc("B3"), (0, 1, 0))
-    assert _phase_and_integers(rf.h[2]) == (1, {2: 1})
-    for beta, p in rf.parity.items():
-        assert _phase_and_integers(rf.u[beta])[0] == p
-        assert _phase_and_integers(rf.v[beta])[0] == 1 - p
-    assert _phase_and_integers({}) == (0, {})
-    assert _phase_and_integers({3: -2 * I_UNIT, 4: 5 * I_UNIT}) == (1, {3: -2, 4: 5})
+def _verifier_input(name, T):
+    """(sc, parity, members) of the form at T, as ``rational_form`` checks them."""
+    sc = _sc(name)
+    parity = rational_form(sc, T).parity
+    members = _members(sc, parity)
+    _verify_rational_form(sc, T, parity, members)
+    return sc, parity, members
 
 
 def test_check_block_reads_cartan_entries_at_odd_phase_only():
@@ -337,33 +343,51 @@ def test_check_block_reads_the_sign_on_each_root_pair():
 def test_verify_rejects_flipped_parity_label():
     # the lattice is read through the parity labels, so a flipped label breaks
     # closure before the block check is reached
-    sc = _sc("B3")
-    rf = rational_form(sc, (0, 1, 0))
-    parity = dict(rf.parity)
+    sc, parity, members = _verifier_input("B3", (0, 1, 0))
     parity[(0, 1, 0)] ^= 1
     with pytest.raises(AssertionError, match="not closed"):
-        _verify_rational_form(sc, dataclasses.replace(rf, parity=parity))
+        _verify_rational_form(sc, (0, 1, 0), parity, members)
 
 
 def test_verify_rejects_noncompact_vector_in_compact_block():
     # v^beta for a noncompact beta lies in g_Z, so every bracket stays
-    # integral; in an h slot it is labelled compact, which the blocks catch
-    sc = _sc("G2")
-    rf = rational_form(sc, (0, 1))
-    assert rf.parity[(0, 1)] == 1
-    h = (rf.v[(0, 1)],) + rf.h[1:]
+    # integral; in place of h^1 it is labelled compact, which the blocks catch
+    sc, parity, members = _verifier_input("G2", (0, 1))
+    assert parity[(0, 1)] == 1
+    _, e, w = members[sc.rs.rank + 2 * list(parity).index((0, 1)) + 1]
+    assert w == {sc.root_index[(0, 1)]: 1, sc.root_index[(0, -1)]: 1}
+    members[0] = (0, e, w)
     with pytest.raises(AssertionError, match="blocks violated"):
-        _verify_rational_form(sc, dataclasses.replace(rf, h=h))
+        _verify_rational_form(sc, (0, 1), parity, members)
 
 
 def test_verify_rejects_theta_of_another_grading():
     # the members are built for T = S^2, theta is read at S^1; alpha_1 is
     # compact for one and noncompact for the other, so theta has the wrong
     # sign on its block while every bracket still closes
-    sc = _sc("G2")
-    rf = rational_form(sc, (0, 1))
+    sc, parity, members = _verifier_input("G2", (0, 1))
     with pytest.raises(AssertionError, match="wrong sign on a block"):
-        _verify_rational_form(sc, dataclasses.replace(rf, grading_element=(1, 0)))
+        _verify_rational_form(sc, (1, 0), parity, members)
+
+
+@pytest.mark.parametrize("name, T", [("G2", (0, 1)), ("B3", (0, 1, 0)), ("E6", (0, 1, 0, 0, 0, 0))])
+def test_verify_rejects_a_singular_cartan_gram(name, T):
+    # h^2 replaced by a second h^1: every bracket still closes and theta keeps
+    # its sign, but the Cartan gram has two equal rows, so it is not definite
+    sc, parity, members = _verifier_input(name, T)
+    members[1] = members[0]
+    with pytest.raises(AssertionError, match="wrong signature"):
+        _verify_rational_form(sc, T, parity, members)
+
+
+@pytest.mark.parametrize("name, T", [("G2", (0, 1)), ("B3", (0, 1, 0))])
+def test_verify_rejects_a_singular_root_pair_gram(name, T):
+    # v^beta replaced by a second u^beta, for the last positive root beta:
+    # the gram of that pair is singular, while closure and theta still hold
+    sc, parity, members = _verifier_input(name, T)
+    members[-1] = members[-2]
+    with pytest.raises(AssertionError, match="wrong signature"):
+        _verify_rational_form(sc, T, parity, members)
 
 
 def test_definite_rejects_negated_compact_gram():
@@ -385,42 +409,48 @@ KILLING_GRAM_TYPES = ("G2", "B3", "C3", "A4", "B4", "C4", "D4", "D5", "F4", "E6"
 
 @pytest.mark.parametrize("name", KILLING_GRAM_TYPES)
 def test_sparse_killing_gram_matches_dense(name):
-    sc = _sc(name)
-    rs = sc.rs
+    """``_killing_gram`` equals the gram of the handed-out Gaussian vectors.
+    The verifier reads it only on the Cartan members and on each pair
+    (u^beta, v^beta): the dense gram of each of k and k^perp is zero off
+    those blocks, and definite of its sign as a whole."""
     rng = random.Random(f"gram-{name}")
-    T = tuple(rng.randint(0, 1) for _ in range(rs.rank - 1)) + (1,)
+    rank = root_system(name).rank
+    T = tuple(rng.randint(0, 1) for _ in range(rank - 1)) + (1,)
+    sc, parity, members = _verifier_input(name, T)
     rf = rational_form(sc, T)
-    members = list(rf.h) + [w for beta in rf.parity for w in (rf.u[beta], rf.v[beta])]
-    by_phase = {0: [], 1: []}
-    for w in members:
-        by_phase[_phase_and_integers(w)[0]].append(w)
+    vecs = list(rf.h) + [w for beta in rf.parity for w in (rf.u[beta], rf.v[beta])]
     # vectors spread over several supports, and the Cartan part among roots:
     # sums of two members of one phase
-    mixed = []
+    pairs = list(zip(members, vecs))
     for _ in range(6):
-        a, b = rng.sample(by_phase[rng.randint(0, 1)], 2)
-        mixed.append({k: a.get(k, 0) + b.get(k, 0) for k in a.keys() | b.keys()})
-    vecs = members + mixed
-    rng.shuffle(vecs)
-
-    def check(vecs):
-        dense = [[real_of(sc.killing(a, b)) for b in vecs] for a in vecs]
-        assert _killing_gram(sc, [_phase_and_integers(v) for v in vecs]) == dense
-
-    check(vecs)
-    for block in (0, 1):
-        check([w for beta, p in rf.parity.items() if p == block
-               for w in (rf.u[beta], rf.v[beta])] + (list(rf.h) if block == 0 else []))
+        e = rng.randint(0, 1)
+        ((_, _, wa), a), ((_, _, wb), b) = rng.sample([m for m in pairs if m[0][1] == e], 2)
+        w = {k: wa.get(k, 0) + wb.get(k, 0) for k in wa.keys() | wb.keys()}
+        pairs.append(((None, e, w), {k: a.get(k, 0) + b.get(k, 0) for k in w}))
+    rng.shuffle(pairs)
+    dense = [[real_of(sc.killing(a, b)) for _, b in pairs] for _, a in pairs]
+    assert _killing_gram(sc, [(e, w) for (_, e, w), _ in pairs]) == dense
+    # the blocks the verifier reads: group g of member a
+    group = [0] * rank + [1 + k // 2 for k in range(len(members) - rank)]
+    for block, sign in ((0, -1), (1, 1)):
+        inside = [a for a, (p, _, _) in enumerate(members) if p == block]
+        gram = _killing_gram(sc, [members[a][1:] for a in inside])
+        for x, a in enumerate(inside):
+            for y, b in enumerate(inside):
+                assert gram[x][y] == 0 or group[a] == group[b], (a, b)
+        assert _definite(gram, sign)
 
 
 def test_killing_gram_rejects_imaginary_value():
     # (1, 0) is compact for T = S^2 and noncompact for T = S^1, so its u is
     # x^a - x^-a in one form and i (x^a - x^-a) in the other:
     # B(x^a - x^-a, i (x^a - x^-a)) = -2 i B(x^a, x^-a)
-    sc = _sc("G2")
-    real, imaginary = (rational_form(sc, T).u[(1, 0)] for T in ((0, 1), (1, 0)))
-    members = [_phase_and_integers(real), _phase_and_integers(imaginary)]
-    assert [e for e, _ in members] == [0, 1]
+    members = []
+    for T in ((0, 1), (1, 0)):
+        sc, parity, form = _verifier_input("G2", T)
+        _, e, w = form[sc.rs.rank + 2 * list(parity).index((1, 0))]
+        members.append((e, w))
+    assert [e for e, _ in members] == [0, 1] and members[0][1] == members[1][1]
     with pytest.raises(AssertionError, match="should be real"):
         _killing_gram(sc, members)
 
@@ -565,6 +595,32 @@ def test_element_api_rejects_basis_index_out_of_range(name):
     npos = len(sc.rs.positive_roots)
     assert sc.basis_bracket(0, good) == sc.ad[0][good]
     assert sc.killing({good: 1}, {good - npos: 1}) > 0
+    # a grading of another length
+    for T in ((1,), (1,) * (sc.rs.rank + 1)):
+        with pytest.raises(IndexOutOfRange, match=f"{len(T)} coordinates, rank"):
+            theta(sc, T, {0: 1})
+    # jacobi_residual checks no index, as its docstring says: -1 wraps to the
+    # last basis vector, whose residual is zero, and dim overruns a row
+    assert jacobi_residual(sc, -1, 0, good - npos) == {}
+    with pytest.raises(IndexError):
+        jacobi_residual(sc, sc.dim, 0, 1)
+
+
+def test_build_table_checks_each_string_length(monkeypatch):
+    """Each constant after the extraspecial one is solved from the Jacobi
+    identity and checked against its string length; read one longer, the
+    length must fail that check."""
+    string_length = chevalley.StructureConstants._string_length
+
+    def one_longer(self, a, b):
+        # the extraspecial constants keep their true length, so the Jacobi
+        # solve stays integral and only the check can tell
+        gamma = tuple(x + y for x, y in zip(a, b))
+        return string_length(self, a, b) + (self.extraspecial.get(gamma) != (a, b))
+
+    monkeypatch.setattr(chevalley.StructureConstants, "_string_length", one_longer)
+    with pytest.raises(AssertionError, match=r"\|N\| = 1 != string length 2"):
+        chevalley.StructureConstants(root_system("B3"))
 
 
 def test_rational_form_b3_is_so43():
@@ -777,6 +833,24 @@ def test_g2_levi_orbit_of_lowest_direction_in_kernel():
         lam = Fraction(rng.randrange(1, 5))
         xi = {k: lam * c for k, c in vec.items()}
         assert all(x == 0 for row in g2_yukawa_matrix(xi) for x in row)
+
+
+def test_highest_root_has_coefficient_two_at_each_fundamental_adjoint_node():
+    """II(xi) lands in g^0 with no check of its own: xi has degree -1 for
+    E = S^i and x^theta degree theta_i, which is 2 at every fundamental-adjoint
+    node (theta = w_i) up to rank 64.  Every type is searched up to rank 12;
+    above it only B_n and D_n, as A_n (theta = w_1 + w_n) and C_n
+    (theta = 2 w_1) have no such node, and building them would add about 1 s."""
+    cases = 0
+    for t in lie_types_up_to(64):
+        if t.rank > 12 and t.family not in "BD":
+            continue
+        rs = RootSystem(t)  # not cached: these systems would stay in memory
+        for i in range(1, t.rank + 1):
+            if is_fundamental_adjoint(rs, {i}):
+                assert rs.highest_root[i - 1] == 2, (t, i)
+                cases += 1
+    assert cases == 62 + 61 + 5  # B3..B64 and D4..D64 at node 2, E6-E8, F4, G2
 
 
 def test_second_fundamental_form_and_cone_point_reject_bad_input():

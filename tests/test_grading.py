@@ -110,6 +110,22 @@ def test_adjoint_index_sets():
     assert adjoint_index_set(root_system("E8")) == {8}
 
 
+@pytest.mark.parametrize("name", [str(t) for t in lie_types_up_to(12)] + ["B36", "D64"])
+def test_adjoint_index_set_reads_the_highest_root_pairings(name):
+    # theta + alpha_j is never a root, so theta - alpha_j is one exactly when
+    # <theta, alpha_j^vee> > 0, unless theta = alpha_j (A1); with pairings
+    # delta_{i.} that is j = i, which is why is_fundamental_adjoint reads the
+    # pairings alone
+    rs = root_system(name)
+    theta = rs.highest_root
+    positive = {j + 1 for j, p in enumerate(rs.pairings(theta))
+                if p > 0 and theta != rs.simple_roots[j]}
+    assert adjoint_index_set(rs) == positive
+    for i in range(1, rs.rank + 1):
+        if is_fundamental_adjoint(rs, {i}):
+            assert positive == {i}
+
+
 def test_fundamental_adjoint_grading_shape():
     # dim g^{+-2} = 1 and nothing beyond
     for name, i in FUNDAMENTAL_ADJOINTS:

@@ -113,6 +113,13 @@ tier1_tests() {
   PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -m pytest -q --continue-on-collection-errors --durations=15
 }
 
+self_check_reach() {
+  # tier-1 against a copy of src/ with a marker before each raise
+  # AssertionError: every self-check must be reached, except those that
+  # tools/selfcheck_reach.py lists as unreached, and those must stay unreached
+  timeout 600 python3 tools/selfcheck_reach.py "$RUNNER_TEMP"
+}
+
 benchmark_selftest() {
   python3 perfbench/selftest.py
 }
@@ -161,6 +168,7 @@ step "A long --sos is refused at once by the rank bound" long_sos_refused
 step "Dimension cap on tables, existing files left alone" dimension_cap
 step "The D64 JSON listing peaks within 3 MB of the TSV one" json_listing_memory
 step "Tier-1 tests" tier1_tests
+step "Tier-1 reaches every self-check not listed as unreached" self_check_reach
 step "Benchmark self-test" benchmark_selftest
 step "Census reference digests" census_reference_digests
 step "Span coverage on the paper tables" paper_tables_span_coverage
