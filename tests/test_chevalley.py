@@ -303,6 +303,27 @@ def test_rational_form_members_are_one_or_i_times_integer_vectors():
                 assert off == 0 and on != 0 and on.denominator == 1, (name, T, vec)
 
 
+def test_phase_and_integers_reads_each_member_shape():
+    """Each member is one (block, phase e, integer vector w): h^j = (0, 1, e_j),
+    u^beta = (p, p, x^beta - x^-beta), v^beta = (p, 1 - p, x^beta + x^-beta),
+    and the returned basis is i^e w of exactly those members."""
+    sc = _sc("B3")
+    rf = rational_form(sc, (0, 1, 0))
+    members = _members(sc, rf.parity)
+    r = sc.rs.rank
+    assert members[:r] == [(0, 1, {j: 1}) for j in range(r)]
+    for k, (beta, p) in enumerate(rf.parity.items()):
+        ib, ineg = sc.root_index[beta], sc.root_index[sc._neg[beta]]
+        assert members[r + 2 * k] == (p, p, {ib: 1, ineg: -1})
+        assert members[r + 2 * k + 1] == (p, 1 - p, {ib: 1, ineg: 1})
+    i = GaussianRational(Fraction(0), Fraction(1))
+    assert rf.h[2] == {2: i}
+    returned = list(rf.h) + [w for beta in rf.parity for w in (rf.u[beta], rf.v[beta])]
+    assert returned == [{k: GaussianRational.of(c) * (i if e else 1) for k, c in w.items()}
+                        for _, e, w in members]
+    assert _members(sc, {}) == members[:r]
+
+
 def _verifier_input(name, T):
     """(sc, parity, members) of the form at T, as ``rational_form`` checks them."""
     sc = _sc(name)
